@@ -284,18 +284,27 @@ def build_step_workspace(
         if abs(value) > cfg.residual_tolerance:
             svals[j] = deriv / value - qlog
 
+    # Numerators of the correction-sum terms depend on j alone.  A term is
+    # only used by another active index, so none is formed unless at least
+    # two indices are active.
+    numers: list[Optional[complex]] = [None] * m
+    if m - sum(flags) >= 2:
+        for j in range(m):
+            if svals[j] is None:
+                continue  # landed or frozen index: term has analytic limit 0
+            alpha_j = multiplicities[j]
+            numers[j] = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
+
     sums: list[Optional[complex]] = [None] * m
     for i in range(m):
         if flags[i]:
             continue
         total = complex(0.0)
         for j in range(m):
-            if j == i or flags[j] or svals[j] is None:
-                continue  # landed or frozen index: term has analytic limit 0
-            alpha_j = multiplicities[j]
+            if j == i or numers[j] is None:
+                continue
             diff = vec[j] - vec[i]
-            numer = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
-            total += numer / (qprods[j] * diff * diff)
+            total += numers[j] / (qprods[j] * diff * diff)
         require_finite(total, "correction sum")
         sums[i] = total
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compensated import ComplexDD
+from .compensated import horner_with_derivative
 from .errors import NonFiniteError
 
 
@@ -52,6 +52,11 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     accumulators are double-word compensated, so the result is accurate to
     roughly eps^2 times the condition sum; this keeps residuals meaningful
     close to multiple roots, where plain binary64 Horner returns pure noise.
+    The pass is ``compensated.horner_with_derivative``, a flat kernel over
+    local floats that repeats the double-word primitives' operations in
+    their order, with the splits of z hoisted out of the loop; it costs
+    about 20 us at degree 6 and 3.5 us per further degree (CPython 3.11,
+    shared Xeon).
 
     Parameters
     ----------
@@ -70,13 +75,7 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     """
     zc = complex(z)
     require_finite(zc, "evaluation point")
-    value = ComplexDD(1.0)
-    deriv = ComplexDD(0.0)
-    for a in poly.low_coefficients:
-        deriv = deriv.mul_complex(zc).add(value)
-        value = value.mul_complex(zc).add_complex(a)
-    v = value.to_complex()
-    d = deriv.to_complex()
+    v, d = horner_with_derivative(poly.low_coefficients, zc)
     if not (is_finite(v) and is_finite(d)):
         raise NonFiniteError(
             f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"

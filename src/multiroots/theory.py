@@ -44,7 +44,7 @@ class TheoremConstants:
     M and N are the growth factors
     ``M = (1 + c/(d-2c))**n - 1`` and ``N = (1 + n*(c/(d-2c))**2)**(n-1) - 1``;
     both are +inf when d - 2c <= 0, where the guarantee machinery is
-    undefined.
+    undefined, and each is +inf when its power overflows binary64.
     """
 
     c: float
@@ -98,11 +98,15 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
         )
 
     ratio = c / gap
-    big_m = (1.0 + ratio) ** n - 1.0
-    big_n = (1.0 + n * ratio * ratio) ** (n - 1) - 1.0
-    lhs = (2.0 * c * c * n / (gap * gap)) * (
-        ratio + (1.0 + ratio) * (big_n + big_m * big_n + big_m)
-    )
+    big_m = _power_minus_one(1.0 + ratio, n)
+    big_n = _power_minus_one(1.0 + n * ratio * ratio, n - 1)
+    overflowed = math.isinf(big_m) or math.isinf(big_n)
+    if overflowed:
+        lhs = math.inf
+    else:
+        lhs = (2.0 * c * c * n / (gap * gap)) * (
+            ratio + (1.0 + ratio) * (big_n + big_m * big_n + big_m)
+        )
     margins = tuple(a - lhs for a in rs.multiplicities)
     constants = TheoremConstants(c=c, q=q, d=d, n=n, M=big_m, N=big_n)
 
@@ -113,9 +117,18 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
         return TheoremCheckResult(
             constants, lhs, margins, False,
             reason=f"inequality fails: lhs = {lhs:.6g} reaches the smallest "
-                   f"multiplicity {min(rs.multiplicities)}",
+                   f"multiplicity {min(rs.multiplicities)}"
+                   + (" (M or N overflows binary64)" if overflowed else ""),
         )
     return TheoremCheckResult(constants, lhs, margins, True)
+
+
+def _power_minus_one(base: float, exponent: int) -> float:
+    """base**exponent - 1 for base >= 1, or +inf where the power overflows."""
+    try:
+        return base ** exponent - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def error_bound(c: float, q: float, k: int) -> float:

@@ -226,6 +226,22 @@ class TestCheckTheoremCommand:
         )
         assert code == EXIT_NO_GUARANTEE
 
+    def test_overflowing_growth_factors_exit_four(self, capsys, monkeypatch):
+        # n = 600 and c/(d-2c) = 4.5: (1 + c/(d-2c))**n overflows binary64.
+        doc = {"roots": [0, 1], "multiplicities": [300, 300]}
+        code, out, err = run_main(
+            capsys, ["check-theorem", "--c", "0.45", "--q", "0.5",
+                     "--format", "json"],
+            json.dumps(doc), monkeypatch,
+        )
+        assert code == EXIT_NO_GUARANTEE
+        assert err == ""
+        data = json.loads(out)
+        assert data["guaranteed"] is False
+        assert data["M"] is None and data["N"] is None and data["lhs"] is None
+        assert data["per_root_margin"] == [None, None]
+        assert "overflows" in data["reason"]
+
     def test_single_root_exits_one(self, capsys, monkeypatch):
         doc = {"roots": [[1, 0]], "multiplicities": [6]}
         code, _, err = run_main(

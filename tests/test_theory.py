@@ -70,6 +70,15 @@ class TestTheoremCheck:
         assert "d - 2c" in result.reason
         assert math.isinf(result.lhs)
 
+    def test_overflowing_growth_factors_are_infinite(self):
+        # n = 600, c/(d-2c) = 4.5: both powers exceed the binary64 range
+        result = theorem_check(RootSystem((0, 1), (300, 300)), 0.45, 0.5)
+        assert not result.guaranteed
+        assert "overflows" in result.reason
+        assert math.isinf(result.constants.M) and math.isinf(result.constants.N)
+        assert result.lhs == math.inf
+        assert result.per_root_margin == (-math.inf, -math.inf)
+
     def test_q_one_fails(self, demo_system):
         result = theorem_check(demo_system, 0.01, 1.0)
         assert not result.guaranteed
