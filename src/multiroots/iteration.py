@@ -49,6 +49,11 @@ class UpdateMode(enum.Enum):
     (Gauss-Seidel) reuses already-updated components within the sweep; it
     is provided as an experimental alternative without a convergence
     guarantee of its own.
+
+    Either way a sweep evaluates each point once and reuses its (A, A')
+    pair for every later use in that sweep.  With ``a`` active components
+    a TOTAL_STEP sweep makes ``a`` evaluations; a SERIAL sweep makes
+    ``2a - 1``, one more for each component that has moved.
     """
 
     TOTAL_STEP = "total"
@@ -64,11 +69,16 @@ class SolveConfig:
     update_mode: UpdateMode = UpdateMode.TOTAL_STEP
 
     def __post_init__(self):
+        if (not isinstance(self.max_iterations, int)
+                or isinstance(self.max_iterations, bool)):
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name in ("step_tolerance", "residual_tolerance", "collision_threshold"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not isinstance(self.update_mode, UpdateMode):
             raise ValueError(f"update_mode must be an UpdateMode, got {self.update_mode!r}")
 
@@ -250,8 +260,18 @@ def build_step_workspace(
     multiplicities: Sequence[int],
     frozen: Optional[Sequence[bool]] = None,
     config: Optional[SolveConfig] = None,
+    *,
+    evaluations: Optional[Sequence[Optional[tuple[complex, complex]]]] = None,
 ) -> StepWorkspace:
-    """Evaluate every per-index quantity the generalized step needs."""
+    """Evaluate every per-index quantity the generalized step needs.
+
+    ``evaluations``, when given, holds one entry per index: the pair
+    ``eval_with_derivative(poly, values[j])`` already computed at the
+    current value, or None.  Active indices with a None entry are
+    evaluated, and entries of frozen indices are ignored; the default
+    None evaluates every active index.  The pairs used are returned in
+    ``a_values`` and ``a_primes``.
+    """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
     m = len(vec)
@@ -264,10 +284,12 @@ def build_step_workspace(
     qlogs: list[Optional[complex]] = [None] * m
     svals: list[Optional[complex]] = [None] * m
     qprods: list[Optional[complex]] = [None] * m
+    known = evaluations if evaluations is not None else (None,) * m
     for j in range(m):
         if flags[j]:
             continue
-        value, deriv = eval_with_derivative(poly, vec[j])
+        pair = known[j]
+        value, deriv = pair if pair is not None else eval_with_derivative(poly, vec[j])
         a_vals[j] = value
         a_primes[j] = deriv
         qlog = complex(0.0)
@@ -344,7 +366,10 @@ def gek_step(
 
     Each component moves by `alpha_i` over the deflated logarithmic
     derivative corrected with the neighbor sum; frozen components are
-    copied through bitwise unchanged.
+    copied through bitwise unchanged.  Each point is evaluated once per
+    sweep: ``a`` evaluations for ``a`` active components in total-step
+    mode, ``2a - 1`` in serial mode, where only the component that just
+    moved is evaluated again before the workspace is rebuilt.
 
     Parameters
     ----------
@@ -378,11 +403,15 @@ def gek_step(
 
     if cfg.update_mode is UpdateMode.SERIAL:
         current = list(vec)
+        pairs = [None] * m
         for i in range(m):
             if flags[i]:
                 continue
-            ws = build_step_workspace(poly, current, multiplicities, flags, cfg)
+            ws = build_step_workspace(poly, current, multiplicities, flags, cfg,
+                                      evaluations=pairs)
+            pairs = list(zip(ws.a_values, ws.a_primes))
             current[i] = _gek_update(current, multiplicities, ws, i)
+            pairs[i] = None
         return tuple(current)
 
     ws = build_step_workspace(poly, vec, multiplicities, flags, cfg)
@@ -392,8 +421,15 @@ def gek_step(
     )
 
 
-def _ek_update(poly, vec, index, flags, limit):
-    value, deriv = eval_with_derivative(poly, vec[index])
+def _evaluated(poly, vec, evals, j):
+    # The (A, A') pair at vec[j], evaluated on first use within a sweep.
+    if evals[j] is None:
+        evals[j] = eval_with_derivative(poly, vec[j])
+    return evals[j]
+
+
+def _ek_update(poly, vec, index, flags, limit, evals):
+    value, deriv = _evaluated(poly, vec, evals, index)
     m = len(vec)
     wlog = complex(0.0)
     for l in range(m):
@@ -409,7 +445,7 @@ def _ek_update(poly, vec, index, flags, limit):
     for j in range(m):
         if j == index or flags[j]:
             continue
-        a_j, _ = eval_with_derivative(poly, vec[j])
+        a_j, _ = _evaluated(poly, vec, evals, j)
         w_j = complex(1.0)
         for l in range(m):
             if l != j:
@@ -439,7 +475,11 @@ def ek_step(
     polynomial degree.  With unit multiplicities this agrees with
     `gek_step` up to rounding.  Mode and freezing semantics match
     `gek_step`; an exact-root component is harmless here (its own
-    correction degenerates to Newton's and vanishes).
+    correction degenerates to Newton's and vanishes).  Each point is
+    evaluated once per sweep, on first use, and its pair is shared by
+    every update that needs it: ``a`` evaluations for ``a`` active
+    components in total-step mode, ``2a - 1`` in serial mode, where a
+    component is evaluated again only after it has moved.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
@@ -453,17 +493,19 @@ def ek_step(
     limit = _collision_limit(vec, cfg.collision_threshold)
     _check_collisions(vec, flags, limit)
 
+    evals = [None] * m
     if cfg.update_mode is UpdateMode.SERIAL:
         current = list(vec)
         for i in range(m):
             if flags[i]:
                 continue
             lim = _collision_limit(current, cfg.collision_threshold)
-            current[i] = _ek_update(poly, current, i, flags, lim)
+            current[i] = _ek_update(poly, current, i, flags, lim, evals)
+            evals[i] = None
         return tuple(current)
 
     return tuple(
-        vec[i] if flags[i] else _ek_update(poly, vec, i, flags, limit)
+        vec[i] if flags[i] else _ek_update(poly, vec, i, flags, limit, evals)
         for i in range(m)
     )
 

@@ -71,7 +71,8 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
     Computes the separation d, the growth factors M and N, the common
     left-hand side of the per-root inequality, and the margins
     ``alpha_i - lhs``.  ``guaranteed`` holds exactly when q < 1,
-    d - 2c > 0, and every margin is positive.
+    d - 2c > 0, and every margin is positive.  ``c`` and ``q`` must be
+    positive (ValueError otherwise); q >= 1 is "no guarantee".
     """
     if rs.m < 2:
         raise DegenerateSystemError(
@@ -82,6 +83,8 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
         raise ValueError("c must be positive")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
+    if not q > 0.0:
+        raise ValueError("q must be positive")
 
     d = separation(rs)
     n = rs.degree

@@ -170,6 +170,19 @@ class TestSolveCommand:
         assert code == EXIT_MAX_ITERATIONS
         assert json.loads(out)["status"] == "MaxIterations"
 
+    @pytest.mark.parametrize("config", [
+        '"max_iterations": 2.5',
+        '"max_iterations": 1e400',
+        '"step_tolerance": 1e400',
+    ])
+    def test_bad_config_exits_one(self, capsys, monkeypatch, config):
+        doc = {k: v for k, v in DEMO_PROBLEM.items() if k != "config"}
+        text = json.dumps(doc)[:-1] + ', "config": {' + config + "}}"
+        code, out, err = run_main(capsys, ["solve"], text, monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input: bad config: ")
+
     def test_mode_flag_selects_serial(self, capsys, monkeypatch):
         code, out, _ = run_main(
             capsys, ["solve", "--format", "json", "--mode", "serial"],
@@ -225,6 +238,15 @@ class TestCheckTheoremCommand:
             json.dumps(THEOREM_INPUT), monkeypatch,
         )
         assert code == EXIT_NO_GUARANTEE
+
+    def test_negative_q_exits_one(self, capsys, monkeypatch):
+        code, out, err = run_main(
+            capsys, ["check-theorem", "--c", "0.01", "--q", "-1"],
+            json.dumps(THEOREM_INPUT), monkeypatch,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "q must be positive" in err
 
     def test_overflowing_growth_factors_exit_four(self, capsys, monkeypatch):
         # n = 600 and c/(d-2c) = 4.5: (1 + c/(d-2c))**n overflows binary64.

@@ -7,6 +7,8 @@ import pytest
 from multiroots import (
     CollisionError,
     MonicPolynomial,
+    MultirootsError,
+    NonFiniteError,
     ResidualZeroError,
     RootSystem,
     SingularDenominatorError,
@@ -23,6 +25,8 @@ from multiroots import (
     s_value,
     solve,
 )
+from multiroots import iteration
+from multiroots.polynomial import require_finite
 from conftest import (
     DEMO_INITIAL,
     DEMO_K1_ROW,
@@ -149,6 +153,14 @@ class TestSolveConfig:
         {"residual_tolerance": -1.0},
         {"collision_threshold": 0.0},
         {"update_mode": "total"},
+        {"max_iterations": 2.5},
+        {"max_iterations": 3.0},
+        {"max_iterations": True},
+        {"max_iterations": float("inf")},
+        {"step_tolerance": float("inf")},
+        {"step_tolerance": float("nan")},
+        {"residual_tolerance": float("inf")},
+        {"collision_threshold": float("inf")},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -265,6 +277,198 @@ class TestEkStep:
         out = ek_step(poly, approx, frozen=(True, False, True))
         assert bits(out[0]) == bits(approx[0])
         assert bits(out[2]) == bits(approx[2])
+
+
+# Reference sweeps that evaluate a point at every use: `_ref_ek_update`
+# evaluates every active neighbour again for each index, and the serial
+# loops rebuild everything, evaluations included, for each component.  The
+# library must give the same bits and raise the same errors with one
+# evaluation per point and sweep.
+def _ref_ek_update(poly, vec, index, flags, limit):
+    value, deriv = eval_with_derivative(poly, vec[index])
+    m = len(vec)
+    wlog = complex(0.0)
+    for l in range(m):
+        if l == index:
+            continue
+        diff = vec[index] - vec[l]
+        if abs(diff) <= limit:
+            raise CollisionError(
+                f"approximations {index} and {l} are within {limit:.3e}"
+            )
+        wlog += 1.0 / diff
+    neighbor = complex(0.0)
+    for j in range(m):
+        if j == index or flags[j]:
+            continue
+        a_j, _ = eval_with_derivative(poly, vec[j])
+        w_j = complex(1.0)
+        for l in range(m):
+            if l != j:
+                w_j *= vec[j] - vec[l]
+        require_finite(w_j, "simple-root deflating product")
+        diff = vec[index] - vec[j]
+        neighbor += a_j / (w_j * diff * diff)
+    den = deriv - value * wlog + value * neighbor
+    if abs(den) <= iteration.SINGULAR_DENOMINATOR_FLOOR:
+        raise SingularDenominatorError(
+            f"denominator {abs(den):.3e} at index {index} is numerically zero"
+        )
+    new = vec[index] - value / den
+    require_finite(new, f"updated approximation {index}")
+    return new
+
+
+def _ref_ek_step(poly, values, cfg, flags):
+    vec = iteration._as_vector(values)
+    m = len(vec)
+    limit = iteration._collision_limit(vec, cfg.collision_threshold)
+    iteration._check_collisions(vec, flags, limit)
+    if cfg.update_mode is UpdateMode.SERIAL:
+        current = list(vec)
+        for i in range(m):
+            if flags[i]:
+                continue
+            lim = iteration._collision_limit(current, cfg.collision_threshold)
+            current[i] = _ref_ek_update(poly, current, i, flags, lim)
+        return tuple(current)
+    return tuple(
+        vec[i] if flags[i] else _ref_ek_update(poly, vec, i, flags, limit)
+        for i in range(m)
+    )
+
+
+def _ref_gek_step(poly, values, mults, cfg, flags):
+    vec = iteration._as_vector(values)
+    m = len(vec)
+    if cfg.update_mode is UpdateMode.SERIAL:
+        current = list(vec)
+        for i in range(m):
+            if flags[i]:
+                continue
+            ws = build_step_workspace(poly, current, mults, flags, cfg)
+            current[i] = iteration._gek_update(current, mults, ws, i)
+        return tuple(current)
+    ws = build_step_workspace(poly, vec, mults, flags, cfg)
+    return tuple(
+        vec[i] if flags[i] else iteration._gek_update(vec, mults, ws, i)
+        for i in range(m)
+    )
+
+
+def _outcome(step, *args):
+    """The bits of a sweep's result, or the error it raised."""
+    try:
+        return "ok", tuple(bits(z) for z in step(*args))
+    except MultirootsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _both_kinds(poly, approx, mults, frozen, mode):
+    """(library, reference) outcomes of gek_step and, on simple roots, ek_step."""
+    cfg = SolveConfig(update_mode=mode)
+    flags = tuple(frozen)
+    pairs = [(_outcome(gek_step, poly, approx, mults, cfg, flags),
+              _outcome(_ref_gek_step, poly, approx, mults, cfg, flags))]
+    if all(a == 1 for a in mults):
+        pairs.append((_outcome(ek_step, poly, approx, cfg, flags),
+                      _outcome(_ref_ek_step, poly, approx, cfg, flags)))
+    return pairs
+
+
+def _random_case(rng, m, alpha_max, complex_roots):
+    half = 0.5 * m + 1.0
+    roots = []
+    while len(roots) < m:
+        z = complex(rng.uniform(-half, half),
+                    rng.uniform(-half, half) if complex_roots else 0.0)
+        if all(abs(z - r) >= 0.5 for r in roots):
+            roots.append(z)
+    mults = tuple(int(rng.integers(1, alpha_max + 1)) for _ in range(m))
+    poly = poly_from_roots(RootSystem(tuple(roots), mults))
+    if complex_roots:
+        approx = perturbed(rng, roots, 0.15)
+    else:
+        approx = tuple(r + rng.uniform(-0.1, 0.1) for r in roots)
+    frozen = tuple(bool(f) for f in rng.random(m) < 0.3)
+    return poly, approx, mults, frozen
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("complex_roots", [False, True])
+    @pytest.mark.parametrize("alpha_max", [1, 3])
+    def test_bitwise_equal_to_reevaluating_reference(self, mode, complex_roots,
+                                                     alpha_max):
+        rng = np.random.default_rng(1000 + 10 * alpha_max + complex_roots)
+        finished = 0
+        for m in range(1, 13):
+            for _ in range(4):
+                case = _random_case(rng, m, alpha_max, complex_roots)
+                for got, want in _both_kinds(*case, mode):
+                    assert got == want
+                    finished += got[0] == "ok"
+        assert finished >= 40  # most sweeps complete rather than raise
+
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    def test_landed_component(self, mode):
+        # index 1 sits exactly on the root 1, where A = 0: the generalized
+        # step's s-value is undefined there, while the simple-root
+        # correction degenerates to Newton's and vanishes
+        poly = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
+        approx = (0.125, 1.0, 1.875 + 0.25j)
+        (gek, gek_ref), (ek, ek_ref) = _both_kinds(poly, approx, (1, 1, 1),
+                                                   (False,) * 3, mode)
+        assert gek == gek_ref and gek[0] == "ResidualZeroError"
+        assert ek == ek_ref and ek[0] == "ok"
+        assert ek[1][1] == bits(1.0 + 0j)
+
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("approx,error", [
+        ((0.25, 0.25 + 1e-14j, 2.5), "CollisionError"),
+        ((1e200, -2e200, 3e200j), "NonFiniteError"),
+    ])
+    def test_guard_failures_match(self, mode, approx, error):
+        poly = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
+        for got, want in _both_kinds(poly, approx, (1, 1, 1),
+                                     (False,) * 3, mode):
+            assert got == want
+            assert got[0] == error
+
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("frozen", [
+        (False,) * 6,
+        (True, False, False, True, False, False),
+        (False,) * 5 + (True,),
+        (True,) * 5 + (False,),
+    ])
+    @pytest.mark.parametrize("mults", [(1,) * 6, (2, 1, 3, 1, 2, 1)])
+    def test_evaluations_per_sweep(self, monkeypatch, mode, frozen, mults):
+        roots = (-2, -1 + 1j, 0, 1 - 2j, 2, 1 + 2j)
+        poly = poly_from_roots(RootSystem(roots, mults))
+        approx = perturbed(np.random.default_rng(7), roots, 0.1)
+        evaluated = []
+        counted = iteration.eval_with_derivative
+
+        def counting(p, z):
+            evaluated.append(z)
+            return counted(p, z)
+
+        monkeypatch.setattr(iteration, "eval_with_derivative", counting)
+        cfg = SolveConfig(update_mode=mode)
+        steps = [lambda: gek_step(poly, approx, mults, cfg, frozen)]
+        if mults == (1,) * 6:
+            steps.append(lambda: ek_step(poly, approx, cfg, frozen))
+        active = [i for i in range(6) if not frozen[i]]
+        for step in steps:
+            evaluated.clear()
+            out = step()
+            # a for a total sweep, 2a - 1 for a serial one: the starting
+            # points once each, then every moved component but the last
+            expected = [approx[i] for i in active]
+            if mode is UpdateMode.SERIAL:
+                expected += [out[i] for i in active[:-1]]
+            assert evaluated == expected
 
 
 class TestSolve:

@@ -92,6 +92,11 @@ class TestTheoremCheck:
         with pytest.raises(ValueError):
             theorem_check(demo_system, 0.0, 0.5)
 
+    @pytest.mark.parametrize("q", [0.0, -0.0, -1.0])
+    def test_nonpositive_q_rejected(self, demo_system, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            theorem_check(demo_system, 0.01, q)
+
     def test_lhs_monotone_in_c(self, demo_system):
         # strictly increasing on (0, d/2); sampled on a 100-point grid
         d = 2.0
