@@ -5,8 +5,12 @@ monic coefficients or roots-with-multiplicities, plus initial
 approximations and optional solver-config overrides.  Complex numbers are
 two-element arrays [re, im]; bare numbers are accepted as reals.
 
-Exit codes: 0 ok/guaranteed, 1 input error, 2 max-iterations reached,
-3 numerical failure (collision/singular denominator/overflow),
+JSON booleans are not numbers here, although Python's ``bool`` is an
+``int``.
+
+Exit codes: 0 ok/guaranteed, 1 input error or standard output closed by its
+reader before the output was written (``... | head``), 2 max-iterations
+reached, 3 numerical failure (collision/singular denominator/overflow),
 4 guarantee not established.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -75,11 +80,14 @@ class ProblemSpec:
     roots: Optional[tuple[complex, ...]] = None  # known true roots, if given
 
 
+def _is_number(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _as_complex(obj, what: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         value = complex(float(obj), 0.0)
-    elif (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(p, (int, float)) for p in obj)):
+    elif isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
         value = complex(float(obj[0]), float(obj[1]))
     else:
         raise ProblemSpecError(
@@ -95,6 +103,16 @@ def _as_complex_list(obj, what: str) -> tuple[complex, ...]:
     if not isinstance(obj, list) or not obj:
         raise ProblemSpecError(f"input: {what} must be a non-empty array")
     return tuple(_as_complex(v, f"{what}[{i}]") for i, v in enumerate(obj))
+
+
+def _as_multiplicities(obj) -> tuple[int, ...]:
+    if (not isinstance(obj, list) or not obj
+            or not all(isinstance(a, int) and not isinstance(a, bool) and a >= 1
+                        for a in obj)):
+        raise ProblemSpecError(
+            "input: 'multiplicities' must be an array of positive integers"
+        )
+    return tuple(obj)
 
 
 def parse_config(data: dict, overrides: Optional[dict] = None) -> SolveConfig:
@@ -146,13 +164,7 @@ def parse_problem(text: str, config_overrides: Optional[dict] = None) -> Problem
         )
     if "multiplicities" not in data:
         raise ProblemSpecError("input: 'multiplicities' is required")
-    mults_raw = data["multiplicities"]
-    if (not isinstance(mults_raw, list) or not mults_raw
-            or not all(isinstance(a, int) and a >= 1 for a in mults_raw)):
-        raise ProblemSpecError(
-            "input: 'multiplicities' must be an array of positive integers"
-        )
-    mults = tuple(int(a) for a in mults_raw)
+    mults = _as_multiplicities(data["multiplicities"])
 
     roots = None
     if has_roots:
@@ -356,16 +368,11 @@ def cmd_check_theorem(args) -> int:
             "'multiplicities'"
         )
     roots = _as_complex_list(data["roots"], "roots")
-    mults = data["multiplicities"]
-    if (not isinstance(mults, list)
-            or not all(isinstance(a, int) and a >= 1 for a in mults)):
-        raise ProblemSpecError(
-            "input: 'multiplicities' must be an array of positive integers"
-        )
+    mults = _as_multiplicities(data["multiplicities"])
     if len(roots) < 2:
         raise ProblemSpecError("input: check-theorem needs at least two roots")
     try:
-        rs = RootSystem(roots, tuple(mults))
+        rs = RootSystem(roots, mults)
         result = theorem_check(rs, args.c, args.q)
     except (ValueError, DegenerateSystemError) as exc:
         raise ProblemSpecError(f"input: {exc}") from None
@@ -471,7 +478,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit cannot raise again (the recipe of the `signal` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_INPUT
     except ProblemSpecError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

@@ -11,7 +11,10 @@ two-sum, Dekker split and product); no FMA is assumed.  ``ComplexDD``
 combines them into complex double-word values.  ``horner_with_derivative``
 is the evaluation kernel: it performs the same binary64 operations, in the
 same order, as a Horner loop over ``ComplexDD``, but on plain local floats,
-with the Dekker splits of the evaluation point computed once per call.
+with the Dekker splits of the evaluation point computed once per call.  It
+skips ``two_prod``'s test for a non-finite product, which cannot turn a
+non-finite result finite, so its finite results are bitwise those of the
+loop.
 One degree-6 evaluation takes about 20 us, against 50-65 us for the
 ``ComplexDD`` loop (best of 7 x 2,000 calls; CPython 3.11, shared Xeon).
 """
@@ -131,11 +134,14 @@ def horner_with_derivative(
     ``-z.imag`` are hoisted out of the loop (``-z.imag`` is split directly,
     so signed zeros come out as ``two_prod`` would give them), and each
     accumulator part is split once per step for its two products.  The
-    ``two_prod`` guards are kept per product: a factor beyond
-    ``_SPLIT_LIMIT`` or a non-finite product contributes no error term.
-    The caller checks ``z`` and the results for finiteness.
+    ``_SPLIT_LIMIT`` guard of ``two_prod`` is kept per product: a factor
+    beyond it contributes no error term.  Its other guard, for a
+    non-finite product, is left out: once a product is inf or nan, +, -
+    and * keep the accumulators non-finite, so a result it would change
+    is non-finite either way.  The caller checks ``z`` and the results
+    for finiteness.
     """
-    S, L, INF = _SPLITTER, _SPLIT_LIMIT, math.inf
+    S, L = _SPLITTER, _SPLIT_LIMIT
     zr, zi = z.real, z.imag
     nzi = -zi
     zr_ok = abs(zr) <= L
@@ -166,13 +172,13 @@ def horner_with_derivative(
 
         p = dr * zr
         e = (((xh * zrh - p) + xh * zrt) + xt * zrh) + xt * zrt \
-            if x_ok and zr_ok and -INF < p < INF else 0.0
+            if x_ok and zr_ok else 0.0
         e = e + drl * zr
         ph = p + e
         pl = e - (ph - p)
         p = di * nzi
         e = (((yh * nzih - p) + yh * nzit) + yt * nzih) + yt * nzit \
-            if y_ok and zi_ok and -INF < p < INF else 0.0
+            if y_ok and zi_ok else 0.0
         e = e + dil * nzi
         qh = p + e
         ql = e - (qh - p)
@@ -185,13 +191,13 @@ def horner_with_derivative(
 
         p = dr * zi
         e = (((xh * zih - p) + xh * zit) + xt * zih) + xt * zit \
-            if x_ok and zi_ok and -INF < p < INF else 0.0
+            if x_ok and zi_ok else 0.0
         e = e + drl * zi
         ph = p + e
         pl = e - (ph - p)
         p = di * zr
         e = (((yh * zrh - p) + yh * zrt) + yt * zrh) + yt * zrt \
-            if y_ok and zr_ok and -INF < p < INF else 0.0
+            if y_ok and zr_ok else 0.0
         e = e + dil * zr
         qh = p + e
         ql = e - (qh - p)
@@ -228,13 +234,13 @@ def horner_with_derivative(
 
         p = vr * zr
         e = (((xh * zrh - p) + xh * zrt) + xt * zrh) + xt * zrt \
-            if x_ok and zr_ok and -INF < p < INF else 0.0
+            if x_ok and zr_ok else 0.0
         e = e + vrl * zr
         ph = p + e
         pl = e - (ph - p)
         p = vi * nzi
         e = (((yh * nzih - p) + yh * nzit) + yt * nzih) + yt * nzit \
-            if y_ok and zi_ok and -INF < p < INF else 0.0
+            if y_ok and zi_ok else 0.0
         e = e + vil * nzi
         qh = p + e
         ql = e - (qh - p)
@@ -247,13 +253,13 @@ def horner_with_derivative(
 
         p = vr * zi
         e = (((xh * zih - p) + xh * zit) + xt * zih) + xt * zit \
-            if x_ok and zi_ok and -INF < p < INF else 0.0
+            if x_ok and zi_ok else 0.0
         e = e + vrl * zi
         ph = p + e
         pl = e - (ph - p)
         p = vi * zr
         e = (((yh * zrh - p) + yh * zrt) + yt * zrh) + yt * zrt \
-            if y_ok and zr_ok and -INF < p < INF else 0.0
+            if y_ok and zr_ok else 0.0
         e = e + vil * zr
         qh = p + e
         ql = e - (qh - p)

@@ -54,6 +54,13 @@ class UpdateMode(enum.Enum):
     pair for every later use in that sweep.  With ``a`` active components
     a TOTAL_STEP sweep makes ``a`` evaluations; a SERIAL sweep makes
     ``2a - 1``, one more for each component that has moved.
+
+    The deflation terms are kept across a sweep too.  A SERIAL sweep of
+    the generalized step forms the pair terms of every active row once;
+    after a component moves, only the ``2(m - 1)`` pairs in its row and
+    column are formed again, O(m) work per moved component instead of
+    O(a m).  A TOTAL_STEP sweep of the simple-root step forms each
+    neighbour product w_j once and shares it between all indices.
     """
 
     TOTAL_STEP = "total"
@@ -271,6 +278,12 @@ def build_step_workspace(
     evaluated, and entries of frozen indices are ignored; the default
     None evaluates every active index.  The pairs used are returned in
     ``a_values`` and ``a_primes``.
+
+    With ``a`` active components out of ``m``, one build forms the pair
+    terms of ``a(m - 1)`` ordered pairs, each with one ``integer_power``
+    call, plus one ``integer_power`` call per correction-sum numerator.
+    Serial `gek_step` builds the same workspace once per sweep and then
+    refreshes only the pairs of the component that moved.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
@@ -278,28 +291,62 @@ def build_step_workspace(
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
     limit = _collision_limit(vec, cfg.collision_threshold)
     _check_collisions(vec, flags, limit)
+    evals = list(evaluations) if evaluations is not None else [None] * m
+    return _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, [None] * m)
 
+
+def _pair_term(x_j, x_l, alpha_l):
+    # The deflation terms of the ordered pair (j, l): with d = x_j - x_l,
+    # the log-derivative term alpha_l / d and the product factor d**alpha_l.
+    d = x_j - x_l
+    return alpha_l / d, integer_power(d, alpha_l)
+
+
+def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
+    """The workspace at ``vec`` from a table of pair terms.
+
+    ``rows[j]`` is row j of the table for an active j: the `_pair_term`
+    of (j, l) for every l != j, in order of l.  With ``moved`` None every
+    active row is built.  Otherwise the table was filled at a vector that
+    differs from ``vec`` in component ``moved`` alone, and only row
+    ``moved`` and column ``moved`` are refreshed: at most ``2(m - 1)``
+    pair terms instead of ``a(m - 1)`` for ``a`` active rows.  Either way
+    each active row is then reduced in full, in order of l, so sums and
+    products are rounded exactly as in a full build.  Unchanged pair terms
+    raised nothing when they were formed, so errors come in the order of a
+    full build too.
+
+    ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
+    indices are evaluated where missing, in order of j, and stored back.
+    """
+    m = len(vec)
     a_vals: list[Optional[complex]] = [None] * m
     a_primes: list[Optional[complex]] = [None] * m
     qlogs: list[Optional[complex]] = [None] * m
     svals: list[Optional[complex]] = [None] * m
     qprods: list[Optional[complex]] = [None] * m
-    known = evaluations if evaluations is not None else (None,) * m
     for j in range(m):
         if flags[j]:
             continue
-        pair = known[j]
-        value, deriv = pair if pair is not None else eval_with_derivative(poly, vec[j])
+        pair = evals[j]
+        if pair is None:
+            pair = evals[j] = eval_with_derivative(poly, vec[j])
+        value, deriv = pair
         a_vals[j] = value
         a_primes[j] = deriv
+        x_j = vec[j]
+        if moved is None or moved == j:
+            row = rows[j] = [_pair_term(x_j, vec[l], multiplicities[l])
+                             for l in range(m) if l != j]
+        else:
+            row = rows[j]
+            row[moved - (moved > j)] = _pair_term(x_j, vec[moved],
+                                                  multiplicities[moved])
         qlog = complex(0.0)
         qprod = complex(1.0)
-        for l in range(m):
-            if l == j:
-                continue
-            diff = vec[j] - vec[l]
-            qlog += multiplicities[l] / diff
-            qprod *= integer_power(diff, multiplicities[l])
+        for term, power in row:
+            qlog += term
+            qprod *= power
         require_finite(qprod, "deflating product")
         qlogs[j] = qlog
         qprods[j] = qprod
@@ -308,25 +355,27 @@ def build_step_workspace(
 
     # Numerators of the correction-sum terms depend on j alone.  A term is
     # only used by another active index, so none is formed unless at least
-    # two indices are active.
-    numers: list[Optional[complex]] = [None] * m
+    # two indices are active; a landed or frozen index's term has the
+    # analytic limit 0.
+    numerators = []
     if m - sum(flags) >= 2:
         for j in range(m):
             if svals[j] is None:
-                continue  # landed or frozen index: term has analytic limit 0
+                continue
             alpha_j = multiplicities[j]
-            numers[j] = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
+            numer = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
+            numerators.append((j, numer, qprods[j], vec[j]))
 
     sums: list[Optional[complex]] = [None] * m
     for i in range(m):
         if flags[i]:
             continue
+        x_i = vec[i]
         total = complex(0.0)
-        for j in range(m):
-            if j == i or numers[j] is None:
-                continue
-            diff = vec[j] - vec[i]
-            total += numers[j] / (qprods[j] * diff * diff)
+        for j, numer, qprod, x_j in numerators:
+            if j != i:
+                diff = x_j - x_i
+                total += numer / (qprod * diff * diff)
         require_finite(total, "correction sum")
         sums[i] = total
 
@@ -369,7 +418,13 @@ def gek_step(
     copied through bitwise unchanged.  Each point is evaluated once per
     sweep: ``a`` evaluations for ``a`` active components in total-step
     mode, ``2a - 1`` in serial mode, where only the component that just
-    moved is evaluated again before the workspace is rebuilt.
+    moved is evaluated again before the workspace is rebuilt.  A serial
+    sweep keeps a table of pair terms (alpha_l / (x_j - x_l) and
+    (x_j - x_l)**alpha_l): the first workspace forms ``a(m - 1)`` of them,
+    and each later one refreshes only the ``(m - 1) + (a - 1)`` pairs of
+    the moved component's row and column, then reduces every row again in
+    the order of a full build.  Results and errors are bitwise those of
+    rebuilding the workspace from scratch.
 
     Parameters
     ----------
@@ -403,15 +458,19 @@ def gek_step(
 
     if cfg.update_mode is UpdateMode.SERIAL:
         current = list(vec)
-        pairs = [None] * m
+        evals = [None] * m
+        rows = [None] * m
+        moved = None
         for i in range(m):
             if flags[i]:
                 continue
-            ws = build_step_workspace(poly, current, multiplicities, flags, cfg,
-                                      evaluations=pairs)
-            pairs = list(zip(ws.a_values, ws.a_primes))
+            limit = _collision_limit(current, cfg.collision_threshold)
+            _check_collisions(current, flags, limit)
+            ws = _fill_workspace(poly, current, multiplicities, flags, cfg,
+                                 evals, rows, moved)
             current[i] = _gek_update(current, multiplicities, ws, i)
-            pairs[i] = None
+            evals[i] = None
+            moved = i
         return tuple(current)
 
     ws = build_step_workspace(poly, vec, multiplicities, flags, cfg)
@@ -428,7 +487,18 @@ def _evaluated(poly, vec, evals, j):
     return evals[j]
 
 
-def _ek_update(poly, vec, index, flags, limit, evals):
+def _deflating_product(vec, wprods, j):
+    # w_j = prod_{l != j} (x_j - x_l), formed on first use within a sweep.
+    if wprods[j] is None:
+        w_j = complex(1.0)
+        for l in range(len(vec)):
+            if l != j:
+                w_j *= vec[j] - vec[l]
+        wprods[j] = require_finite(w_j, "simple-root deflating product")
+    return wprods[j]
+
+
+def _ek_update(poly, vec, index, flags, limit, evals, wprods):
     value, deriv = _evaluated(poly, vec, evals, index)
     m = len(vec)
     wlog = complex(0.0)
@@ -446,11 +516,7 @@ def _ek_update(poly, vec, index, flags, limit, evals):
         if j == index or flags[j]:
             continue
         a_j, _ = _evaluated(poly, vec, evals, j)
-        w_j = complex(1.0)
-        for l in range(m):
-            if l != j:
-                w_j *= vec[j] - vec[l]
-        require_finite(w_j, "simple-root deflating product")
+        w_j = _deflating_product(vec, wprods, j)
         diff = vec[index] - vec[j]
         neighbor += a_j / (w_j * diff * diff)
     den = deriv - value * wlog + value * neighbor
@@ -479,7 +545,12 @@ def ek_step(
     evaluated once per sweep, on first use, and its pair is shared by
     every update that needs it: ``a`` evaluations for ``a`` active
     components in total-step mode, ``2a - 1`` in serial mode, where a
-    component is evaluated again only after it has moved.
+    component is evaluated again only after it has moved.  Likewise each
+    neighbour product w_j = prod_{l != j} (x_j - x_l) is formed once per
+    total-step sweep, on first use, instead of once per index that needs
+    it: ``a`` products of ``m - 1`` factors instead of ``a(a - 1)``.  In
+    serial mode every w_j changes after each move, so each update forms
+    its own.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
@@ -500,12 +571,15 @@ def ek_step(
             if flags[i]:
                 continue
             lim = _collision_limit(current, cfg.collision_threshold)
-            current[i] = _ek_update(poly, current, i, flags, lim, evals)
+            # every w_j changes once a component moves: none is kept
+            current[i] = _ek_update(poly, current, i, flags, lim, evals,
+                                    [None] * m)
             evals[i] = None
         return tuple(current)
 
+    wprods = [None] * m
     return tuple(
-        vec[i] if flags[i] else _ek_update(poly, vec, i, flags, limit, evals)
+        vec[i] if flags[i] else _ek_update(poly, vec, i, flags, limit, evals, wprods)
         for i in range(m)
     )
 

@@ -97,9 +97,11 @@ def integer_power(base: complex, exponent: int) -> complex:
     while e:
         if e & 1:
             result *= b
-        b *= b
         e >>= 1
-        if e and not is_finite(b):
-            raise NonFiniteError(f"integer_power overflowed: base={base!r}")
-    require_finite(result, "integer_power result")
+        if e:  # square only when another bit needs it
+            b *= b
+            if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+                raise NonFiniteError(f"integer_power overflowed: base={base!r}")
+    if not (math.isfinite(result.real) and math.isfinite(result.imag)):
+        raise NonFiniteError(f"integer_power result is not finite: {result!r}")
     return result

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -88,6 +89,23 @@ class TestParseProblem:
             "initial": [[-3, 0], [0.1, 0], [4, 0]],
         }
         with pytest.raises(ProblemSpecError, match="sum to 5"):
+            parse_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize("mutate,fragment", [
+        (lambda d: d.update(multiplicities=[True, 1, 3]), "positive integers"),
+        (lambda d: d.update(multiplicities=[2, True, 3]), "positive integers"),
+        (lambda d: d.update(roots=[True, [1, 0], [3, 0]]), r"roots\[0\]"),
+        (lambda d: d.update(initial=[[-3, 0], [0.1, False], [4, 0]]),
+         r"initial\[1\]"),
+        (lambda d: (d.pop("roots"), d.update(coefficients=[True] * 6)),
+         r"coefficients\[0\]"),
+    ])
+    def test_json_booleans_are_not_numbers(self, mutate, fragment):
+        # bool is a subclass of int, so true would otherwise read as 1
+        from multiroots.cli import ProblemSpecError
+        doc = json.loads(json.dumps(DEMO_PROBLEM))
+        mutate(doc)
+        with pytest.raises(ProblemSpecError, match=fragment):
             parse_problem(json.dumps(doc))
 
     def test_json_syntax_error_is_line_targeted(self):
@@ -264,6 +282,20 @@ class TestCheckTheoremCommand:
         assert data["per_root_margin"] == [None, None]
         assert "overflows" in data["reason"]
 
+    @pytest.mark.parametrize("doc,fragment", [
+        ({"roots": [1, 2], "multiplicities": [True, 1]}, "'multiplicities'"),
+        ({"roots": [[1, True], 2], "multiplicities": [1, 1]}, "roots[0]"),
+    ])
+    def test_json_booleans_exit_one(self, capsys, monkeypatch, doc, fragment):
+        code, out, err = run_main(
+            capsys, ["check-theorem", "--c", "0.1", "--q", "0.5",
+                     "--format", "json"],
+            json.dumps(doc), monkeypatch,
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input: ") and fragment in err
+
     def test_single_root_exits_one(self, capsys, monkeypatch):
         doc = {"roots": [[1, 0]], "multiplicities": [6]}
         code, _, err = run_main(
@@ -333,3 +365,20 @@ def test_console_entry_point_runs_demo():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["iterations_used"] == 3
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The read end of stdout is closed before the child writes, as when
+    # `multiroots solve ... | head -c 200` has stopped reading.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiroots", "solve", "--format", "json"],
+            input=json.dumps(DEMO_PROBLEM), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr == ""

@@ -1,0 +1,138 @@
+"""Bit-for-bit regression of whole solve() traces.
+
+Each case hashes (SHA-256 over ``struct.pack`` bits) everything a solve
+reports: status, iteration count, final vector and, for every record,
+its values, residuals, steps and frozen flags.  The digests were taken
+before the pair-term table of the generalized step and the per-sweep
+products of the simple-root step were introduced, so they pin that
+those changes, and any later one made for speed, keep the arithmetic
+unchanged.  A change that alters the rounding on purpose must update
+the digest here and say why.
+"""
+
+import cmath
+import hashlib
+import math
+import random
+import struct
+from fractions import Fraction
+
+import pytest
+
+from multiroots import (
+    MonicPolynomial,
+    RootSystem,
+    SolveConfig,
+    UpdateMode,
+    poly_from_roots,
+    solve,
+)
+from conftest import DEMO_INITIAL, DEMO_MULTS, DEMO_ROOTS
+
+RADII = (Fraction(1, 2), Fraction(1), Fraction(2))
+SIGNS = (1, -1, 1)
+RING_CONFIG = dict(max_iterations=40, step_tolerance=1e-15, residual_tolerance=1e-26)
+
+
+def ring_problem(c, alphas, seed):
+    """prod_R (x^c - s_R R^c)^alpha_R over three rings, m = 3c roots.
+
+    The coefficients are expanded exactly and are binary64 numbers, so the
+    polynomial carries no expansion rounding.  Starts lie 2-5% from each
+    root, in directions drawn from ``random.Random(seed)``.
+    """
+    coeffs = [Fraction(1)]
+    for radius, sign, alpha in zip(RADII, SIGNS, alphas):
+        factor = [Fraction(1)] + [Fraction(0)] * (c - 1) + [-sign * radius ** c]
+        for _ in range(alpha):
+            out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+            for i, x in enumerate(coeffs):
+                for j, y in enumerate(factor):
+                    out[i + j] += x * y
+            coeffs = out
+    assert all(Fraction(float(x)) == x for x in coeffs)
+    roots, mults = [], []
+    for radius, sign, alpha in zip(RADII, SIGNS, alphas):
+        shift = 0.0 if sign > 0 else math.pi
+        for k in range(c):
+            roots.append(cmath.rect(float(radius), (2.0 * math.pi * k + shift) / c))
+            mults.append(alpha)
+    rng = random.Random(seed)
+    initial = tuple(
+        z + cmath.rect(rng.uniform(0.02, 0.05) * abs(z), rng.uniform(0.0, 2.0 * math.pi))
+        for z in roots)
+    poly = MonicPolynomial(tuple(complex(float(x)) for x in coeffs[1:]))
+    return poly, tuple(mults), initial
+
+
+def trace_digest(report):
+    h = hashlib.sha256()
+    h.update(report.status.value.encode())
+    h.update(struct.pack("<q", report.iterations_used))
+    for z in report.final:
+        h.update(struct.pack("<dd", z.real, z.imag))
+    for rec in report.trace:
+        h.update(struct.pack("<q", rec.k))
+        for z in rec.values:
+            h.update(struct.pack("<dd", z.real, z.imag))
+        for r in rec.residuals:
+            h.update(struct.pack("<d", r))
+        if rec.steps is None:
+            h.update(b"-")
+        else:
+            for s in rec.steps:
+                h.update(struct.pack("<d", s))
+        h.update(bytes(rec.frozen))
+    return h.hexdigest()
+
+
+#: Digest of the demo run, as `multiroots demo` makes it.
+DEMO_DIGEST = "424172682cf607d6ea53267b14e68c957b18e569ce976c9f4a5a1df6ac4b2d94"
+
+#: (c, kind, mode) -> digest.  m = 3c; "gek" is the generalized step with
+#: multiplicities (2, 3, 1) from the inner ring out, "ek" the simple-root
+#: step on all-simple rings.  Every run ends Converged after 2-3 sweeps.
+RING_DIGESTS = {
+    (1, 'gek', 'total'): (
+        "ced2b2edf76867fa7c57213fc1f1fa77a82233bf8644e6313aa074efc52466f3"),
+    (1, 'gek', 'serial'): (
+        "13af063e4e8a24a21b0bdc97321f367f9930df5331e1d0f9db9344bdbff4d29e"),
+    (1, 'ek', 'total'): (
+        "8f1def4b0abd4c6a90e29b3c66d3b27add5b43a2ab2e61571ecef609237ed79c"),
+    (1, 'ek', 'serial'): (
+        "4731b03b3d803534b52aef19940dc62847b005ee1fcdeacea5f987d21b7967d7"),
+    (4, 'gek', 'total'): (
+        "bf3142a6f9327c89fe36bfbdb6f1d42418ea21c80c97cc7afee855a702b187b2"),
+    (4, 'gek', 'serial'): (
+        "17ad0565165f2b1d02751e513f47a336c8e83c1dfdce15fbea7a37c6619d8943"),
+    (4, 'ek', 'total'): (
+        "7c7ec8365f489bff61708334675949a8acb0b1a8d8cf76ff5461691e9bd23c7b"),
+    (4, 'ek', 'serial'): (
+        "7588e3b9ae34384342d36cc57950e5e3fc86649abf0359ebfa687e93320e9df8"),
+    (6, 'gek', 'total'): (
+        "0d2076565738647f916218d0944b1165e8d3f41fe1442a28cd54c3dd578eee36"),
+    (6, 'gek', 'serial'): (
+        "452580db891be9de3696a2a5985be2c4768bb5e03d29397c9f8cbb311144e8b6"),
+    (6, 'ek', 'total'): (
+        "e162a0f884d18112d781737adee888d7f471504c68007bc492385f4634c423f0"),
+    (6, 'ek', 'serial'): (
+        "5facc233ea47cc60fdc113dc7335fa2b56d0127d8c082dd4410b8e875517d1b9"),
+}
+
+
+def test_demo_trace():
+    poly = poly_from_roots(RootSystem(DEMO_ROOTS, DEMO_MULTS))
+    cfg = SolveConfig(max_iterations=20, step_tolerance=1e-15, residual_tolerance=1e-26)
+    report = solve(poly, DEMO_MULTS, DEMO_INITIAL, cfg)
+    assert trace_digest(report) == DEMO_DIGEST
+
+
+@pytest.mark.parametrize("c", [1, 4, 6])
+@pytest.mark.parametrize("kind", ["gek", "ek"])
+@pytest.mark.parametrize("mode", ["total", "serial"])
+def test_ring_trace(c, kind, mode):
+    alphas = (2, 3, 1) if kind == "gek" else (1, 1, 1)
+    poly, mults, initial = ring_problem(c, alphas, seed=100 + c)
+    cfg = SolveConfig(update_mode=UpdateMode(mode), **RING_CONFIG)
+    report = solve(poly, mults, initial, cfg, use_simple_step=kind == "ek")
+    assert trace_digest(report) == RING_DIGESTS[(c, kind, mode)]

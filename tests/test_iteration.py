@@ -402,7 +402,7 @@ class TestOneEvaluationPerPoint:
                                                      alpha_max):
         rng = np.random.default_rng(1000 + 10 * alpha_max + complex_roots)
         finished = 0
-        for m in range(1, 13):
+        for m in range(1, 21):
             for _ in range(4):
                 case = _random_case(rng, m, alpha_max, complex_roots)
                 for got, want in _both_kinds(*case, mode):
@@ -434,6 +434,66 @@ class TestOneEvaluationPerPoint:
                                      (False,) * 3, mode):
             assert got == want
             assert got[0] == error
+
+    def test_serial_collision_with_moved_component(self):
+        # The start vector passes the collision check, but component 0's
+        # update lands 4e-13 from component 2, so the check before the
+        # second build fires.
+        poly = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
+        approx = (0.45 + 0.05j, 1.2 - 0.1j,
+                  complex(-2.9302655233050627, -0.5782234153937388))
+        flags = (False,) * 3
+        gek_step(poly, approx, (1, 1, 1), SolveConfig(), flags)
+        cfg = SolveConfig(update_mode=UpdateMode.SERIAL)
+        got = _outcome(gek_step, poly, approx, (1, 1, 1), cfg, flags)
+        assert got == _outcome(_ref_gek_step, poly, approx, (1, 1, 1), cfg, flags)
+        assert got[0] == "CollisionError"
+        assert got[1].startswith("approximations 0 and 2 are within")
+
+    def test_serial_overflow_in_refreshed_row(self):
+        # Component 2 is frozen about 5.09e7 away, just inside the range
+        # where (x_0 - x_2)**40 is finite.  Component 0's update moves it
+        # further out, so refreshing row 0 overflows that power.
+        poly = poly_from_roots(RootSystem((0, 2, 5), (1, 1, 40)))
+        mults = (1, 1, 40)
+        approx = (1.7 + 0.1j, 1.2 - 0.1j, complex(-50859006.73154339))
+        flags = (False, False, True)
+        gek_step(poly, approx, mults, SolveConfig(), flags)
+        cfg = SolveConfig(update_mode=UpdateMode.SERIAL)
+        got = _outcome(gek_step, poly, approx, mults, cfg, flags)
+        assert got == _outcome(_ref_gek_step, poly, approx, mults, cfg, flags)
+        assert got[0] == "NonFiniteError"
+        assert got[1].startswith("integer_power result is not finite")
+
+    @pytest.mark.parametrize("frozen", [
+        (False,) * 12,
+        (True, False, False, True) + (False,) * 8,
+        (False,) * 11 + (True,),
+    ])
+    def test_integer_power_calls_per_serial_sweep(self, monkeypatch, frozen):
+        m = 12
+        mults = (1, 2, 3) * 4
+        roots = tuple(2 * np.exp(2j * np.pi * k / m) for k in range(m))
+        poly = poly_from_roots(RootSystem(roots, mults))
+        approx = perturbed(np.random.default_rng(3), roots, 0.05)
+        calls = []
+        counted = iteration.integer_power
+
+        def counting(base, exponent):
+            calls.append(exponent)
+            return counted(base, exponent)
+
+        monkeypatch.setattr(iteration, "integer_power", counting)
+        gek_step(poly, approx, mults,
+                 SolveConfig(update_mode=UpdateMode.SERIAL), frozen)
+        a = m - sum(frozen)
+        # The first build forms the pair terms of every active row; each
+        # later one only those of the moved component's row and column:
+        # O(m) powers per moved component, not O(a m).  Every build also
+        # forms one correction-sum numerator per active index.
+        first_build = a * (m - 1)
+        refresh = (m - 1) + (a - 1)
+        assert len(calls) == first_build + (a - 1) * refresh + a * a
 
     @pytest.mark.parametrize("mode", list(UpdateMode))
     @pytest.mark.parametrize("frozen", [

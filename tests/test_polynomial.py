@@ -239,6 +239,22 @@ class TestFlatKernelMatchesComplexDD:
         with pytest.raises(NonFiniteError):
             reference_eval_with_derivative(poly, 1e154)
 
+    @pytest.mark.parametrize("poly, z", [
+        (MonicPolynomial((0, 2.0 ** 990, 0, 0, 5.0)), 2.0 ** 20),
+        (MonicPolynomial((complex(0, 2.0 ** 985), 0, 1.0)), complex(-(2.0 ** 30), 3.0)),
+    ])
+    def test_product_overflow_partway_raises(self, poly, z):
+        # Both factors stay below 2^996 while their product overflows in
+        # the middle of the pass; the rest of the pass keeps the result
+        # non-finite, so evaluation raises with the usual message.
+        with pytest.raises(NonFiniteError) as info:
+            eval_with_derivative(poly, z)
+        assert str(info.value) == (
+            f"polynomial evaluation overflowed at z={complex(z)!r} "
+            f"(degree {poly.degree})"
+        )
+        assert outcome(reference_eval_with_derivative, poly, z) == "overflow"
+
 
 @pytest.mark.parametrize("z", [
     3 + 2.0 ** -20, complex(3 + 1e-5, 1e-6), complex(2.9997, 2e-4), 2.999999,
