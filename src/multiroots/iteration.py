@@ -339,7 +339,7 @@ def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=No
             row = rows[j] = [_pair_term(x_j, vec[l], multiplicities[l])
                              for l in range(m) if l != j]
         else:
-            row = rows[j]
+            row = rows[j]  # no entry for l == j, so l > j sits at l - 1
             row[moved - (moved > j)] = _pair_term(x_j, vec[moved],
                                                   multiplicities[moved])
         qlog = complex(0.0)
