@@ -5,7 +5,7 @@ guesses, and watches the simultaneous fourth-order iteration collapse the
 error to machine precision in three sweeps.
 """
 
-import numpy as np
+import math
 
 from multiroots import RootSystem, SolveConfig, poly_from_roots, solve
 
@@ -32,6 +32,6 @@ for rec in report.trace:
 
 errs = [max(abs(rec.values[i] - roots.roots[i]) for i in range(3))
         for rec in report.trace]
-slope = (np.log(errs[2]) - np.log(errs[1])) / (np.log(errs[1]) - np.log(errs[0]))
+slope = (math.log(errs[2]) - math.log(errs[1])) / (math.log(errs[1]) - math.log(errs[0]))
 print(f"\nlog-log contraction slope over the first two sweeps: {slope:.2f}"
       "  (4 = quartic)")

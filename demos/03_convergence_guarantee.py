@@ -6,7 +6,8 @@ c * q**(4**k).  The demo sweeps c to find the guarantee region, prints
 the bound table, and spot-checks the bound against live runs.
 """
 
-import numpy as np
+import math
+import random
 
 from multiroots import (
     RootSystem,
@@ -24,7 +25,7 @@ print("guarantee sweep over the initial-radius constant c (q = 0.5):")
 for c in (0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0):
     result = theorem_check(system, c, q)
     verdict = "guaranteed" if result.guaranteed else f"no guarantee ({result.reason})"
-    lhs = "inf" if np.isinf(result.lhs) else f"{result.lhs:.3e}"
+    lhs = "inf" if math.isinf(result.lhs) else f"{result.lhs:.3e}"
     print(f"  c={c:<6} lhs={lhs:<11} {verdict}")
 
 c = 0.01
@@ -37,13 +38,14 @@ for k in range(4):
     print(f"  k={k}:  {error_bound(c, q, k):.3e}")
 
 print("\nempirical check: 5 random starts within c*q of the roots")
-rng = np.random.default_rng(1)
+rng = random.Random(1)
 poly = poly_from_roots(system)
 config = SolveConfig(max_iterations=30, step_tolerance=1e-15,
                      residual_tolerance=1e-24)
+half = c * q / math.sqrt(2)
 for trial in range(5):
-    offsets = rng.uniform(-c * q / np.sqrt(2), c * q / np.sqrt(2), (3, 2))
-    initial = tuple(r + complex(*o) for r, o in zip(system.roots, offsets))
+    initial = tuple(r + complex(rng.uniform(-half, half), rng.uniform(-half, half))
+                    for r in system.roots)
     report = solve(poly, system.multiplicities, initial, config)
     worst = []
     for k in (1, 2):

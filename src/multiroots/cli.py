@@ -144,8 +144,9 @@ def parse_config(data: dict, overrides: Optional[dict] = None) -> SolveConfig:
         raise ProblemSpecError(f"input: bad config: {exc}") from None
 
 
-def parse_problem(text: str, config_overrides: Optional[dict] = None) -> ProblemSpec:
-    """Parse a problem JSON document into a validated ProblemSpec."""
+def _load_document(text: str) -> tuple[dict, tuple[int, ...], Optional[tuple[complex, ...]]]:
+    """Decode a JSON problem object: the object, its multiplicities and,
+    when it has them, its roots (one per multiplicity)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -154,25 +155,28 @@ def parse_problem(text: str, config_overrides: Optional[dict] = None) -> Problem
         ) from None
     if not isinstance(data, dict):
         raise ProblemSpecError("input: top-level document must be an object")
-
-    has_coeffs = "coefficients" in data
-    has_roots = "roots" in data
-    if has_coeffs == has_roots:
-        raise ProblemSpecError(
-            "input: provide exactly one polynomial source, either "
-            "'coefficients' or 'roots'"
-        )
     if "multiplicities" not in data:
         raise ProblemSpecError("input: 'multiplicities' is required")
     mults = _as_multiplicities(data["multiplicities"])
-
     roots = None
-    if has_roots:
+    if "roots" in data:
         roots = _as_complex_list(data["roots"], "roots")
         if len(roots) != len(mults):
             raise ProblemSpecError(
                 f"input: {len(roots)} roots but {len(mults)} multiplicities"
             )
+    return data, mults, roots
+
+
+def parse_problem(text: str, config_overrides: Optional[dict] = None) -> ProblemSpec:
+    """Parse a problem JSON document into a validated ProblemSpec."""
+    data, mults, roots = _load_document(text)
+    if ("coefficients" in data) == (roots is not None):
+        raise ProblemSpecError(
+            "input: provide exactly one polynomial source, either "
+            "'coefficients' or 'roots'"
+        )
+    if roots is not None:
         try:
             poly = poly_from_roots(RootSystem(roots, mults))
         except ValueError as exc:
@@ -358,17 +362,9 @@ def cmd_demo(args) -> int:
 
 
 def cmd_check_theorem(args) -> int:
-    try:
-        data = json.loads(_read_input(args.input))
-    except json.JSONDecodeError as exc:
-        raise ProblemSpecError(f"input:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict) or "roots" not in data or "multiplicities" not in data:
-        raise ProblemSpecError(
-            "input: check-theorem needs an object with 'roots' and "
-            "'multiplicities'"
-        )
-    roots = _as_complex_list(data["roots"], "roots")
-    mults = _as_multiplicities(data["multiplicities"])
+    _, mults, roots = _load_document(_read_input(args.input))
+    if roots is None:
+        raise ProblemSpecError("input: check-theorem needs 'roots'")
     if len(roots) < 2:
         raise ProblemSpecError("input: check-theorem needs at least two roots")
     try:

@@ -24,7 +24,6 @@ from .polynomial import (
     MonicPolynomial,
     eval_with_derivative,
     integer_power,
-    is_finite,
     require_finite,
 )
 
@@ -174,21 +173,13 @@ def q_log_derivative(
     """Logarithmic derivative of the deflating product at one index.
 
     Returns sum over j != index of alpha_j / (x_index - x_j); the empty
-    sum (single approximation) is 0.
+    sum (single approximation) is 0.  The sum is reduced from the same row
+    of pair terms as `q_product`, so the powers (x_index - x_j)**alpha_j
+    are formed too, and NonFiniteError is raised where one of them
+    overflows binary64 (`build_step_workspace` and both steps raise there
+    as well).
     """
-    vec = _as_vector(values)
-    limit = _collision_limit(vec, collision_threshold)
-    total = complex(0.0)
-    for j in range(len(vec)):
-        if j == index:
-            continue
-        diff = vec[index] - vec[j]
-        if abs(diff) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {j} are within {limit:.3e}"
-            )
-        total += multiplicities[j] / diff
-    return total
+    return _deflation(values, multiplicities, index, collision_threshold)[0]
 
 
 def q_product(
@@ -202,20 +193,15 @@ def q_product(
 
     The empty product (single approximation) is 1.
     """
+    prod = _deflation(values, multiplicities, index, collision_threshold)[1]
+    return require_finite(prod, "deflating product")
+
+
+def _deflation(values, multiplicities, index, collision_threshold):
+    # The deflation sum and product at one index, from its row of pair terms.
     vec = _as_vector(values)
     limit = _collision_limit(vec, collision_threshold)
-    prod = complex(1.0)
-    for l in range(len(vec)):
-        if l == index:
-            continue
-        diff = vec[index] - vec[l]
-        if abs(diff) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {l} are within {limit:.3e}"
-            )
-        prod *= integer_power(diff, multiplicities[l])
-    require_finite(prod, "deflating product")
-    return prod
+    return _reduce_row(_row(vec, multiplicities, index, limit))
 
 
 def s_value(
@@ -231,7 +217,8 @@ def s_value(
 
     Undefined where the residual |A(x_index)| is at or below
     ``residual_tolerance``; such an index should be frozen by the caller
-    (ResidualZeroError is raised to say so).
+    (ResidualZeroError is raised to say so).  Q'/Q is `q_log_derivative`,
+    with its errors.
     """
     vec = _as_vector(values)
     value, deriv = eval_with_derivative(poly, vec[index])
@@ -267,32 +254,21 @@ def build_step_workspace(
     multiplicities: Sequence[int],
     frozen: Optional[Sequence[bool]] = None,
     config: Optional[SolveConfig] = None,
-    *,
-    evaluations: Optional[Sequence[Optional[tuple[complex, complex]]]] = None,
 ) -> StepWorkspace:
     """Evaluate every per-index quantity the generalized step needs.
 
-    ``evaluations``, when given, holds one entry per index: the pair
-    ``eval_with_derivative(poly, values[j])`` already computed at the
-    current value, or None.  Active indices with a None entry are
-    evaluated, and entries of frozen indices are ignored; the default
-    None evaluates every active index.  The pairs used are returned in
-    ``a_values`` and ``a_primes``.
-
-    With ``a`` active components out of ``m``, one build forms the pair
-    terms of ``a(m - 1)`` ordered pairs, each with one ``integer_power``
-    call, plus one ``integer_power`` call per correction-sum numerator.
-    Serial `gek_step` builds the same workspace once per sweep and then
+    Every active index is evaluated once.  With ``a`` active components
+    out of ``m``, one build forms the pair terms of ``a(m - 1)`` ordered
+    pairs, each with one ``integer_power`` call, plus one
+    ``integer_power`` call per correction-sum numerator.  Serial
+    `gek_step` builds the same workspace once per sweep and then
     refreshes only the pairs of the component that moved.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
     m = len(vec)
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
-    limit = _collision_limit(vec, cfg.collision_threshold)
-    _check_collisions(vec, flags, limit)
-    evals = list(evaluations) if evaluations is not None else [None] * m
-    return _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, [None] * m)
+    return _fill_workspace(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
 
 
 def _pair_term(x_j, x_l, alpha_l):
@@ -302,23 +278,52 @@ def _pair_term(x_j, x_l, alpha_l):
     return alpha_l / d, integer_power(d, alpha_l)
 
 
+def _row(vec, multiplicities, j, limit):
+    # Row j of the pair-term table: the `_pair_term` of (j, l) for every
+    # l != j, in order of l.  The first pair within ``limit`` raises
+    # CollisionError before its terms are formed.
+    x_j = vec[j]
+    row = []
+    for l in range(len(vec)):
+        if l != j:
+            x_l = vec[l]
+            if abs(x_j - x_l) <= limit:
+                raise CollisionError(
+                    f"approximations {j} and {l} are within {limit:.3e}"
+                )
+            row.append(_pair_term(x_j, x_l, multiplicities[l]))
+    return row
+
+
+def _reduce_row(row):
+    # The deflation sum and product of a row, summed and multiplied in order.
+    qlog = complex(0.0)
+    qprod = complex(1.0)
+    for term, power in row:
+        qlog += term
+        qprod *= power
+    return qlog, qprod
+
+
 def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
     """The workspace at ``vec`` from a table of pair terms.
 
-    ``rows[j]`` is row j of the table for an active j: the `_pair_term`
-    of (j, l) for every l != j, in order of l.  With ``moved`` None every
-    active row is built.  Otherwise the table was filled at a vector that
-    differs from ``vec`` in component ``moved`` alone, and only row
-    ``moved`` and column ``moved`` are refreshed: at most ``2(m - 1)``
-    pair terms instead of ``a(m - 1)`` for ``a`` active rows.  Either way
-    each active row is then reduced in full, in order of l, so sums and
-    products are rounded exactly as in a full build.  Unchanged pair terms
-    raised nothing when they were formed, so errors come in the order of a
-    full build too.
+    The pairs are first checked for collisions, so `_row`'s own check
+    never fires here.  ``rows[j]`` is `_row` j of the table for an active
+    j.  With ``moved`` None every active row is built.  Otherwise the
+    table was filled at a vector that differs from ``vec`` in component
+    ``moved`` alone, and only row ``moved`` and column ``moved`` are
+    refreshed: at most ``2(m - 1)`` pair terms instead of ``a(m - 1)``
+    for ``a`` active rows.  Either way each active row is then reduced in
+    full, in order of l, so sums and products are rounded exactly as in a
+    full build.  Unchanged pair terms raised nothing when they were
+    formed, so errors come in the order of a full build too.
 
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
     """
+    limit = _collision_limit(vec, cfg.collision_threshold)
+    _check_collisions(vec, flags, limit)
     m = len(vec)
     a_vals: list[Optional[complex]] = [None] * m
     a_primes: list[Optional[complex]] = [None] * m
@@ -334,19 +339,13 @@ def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=No
         value, deriv = pair
         a_vals[j] = value
         a_primes[j] = deriv
-        x_j = vec[j]
         if moved is None or moved == j:
-            row = rows[j] = [_pair_term(x_j, vec[l], multiplicities[l])
-                             for l in range(m) if l != j]
+            row = rows[j] = _row(vec, multiplicities, j, limit)
         else:
             row = rows[j]  # no entry for l == j, so l > j sits at l - 1
-            row[moved - (moved > j)] = _pair_term(x_j, vec[moved],
+            row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
                                                   multiplicities[moved])
-        qlog = complex(0.0)
-        qprod = complex(1.0)
-        for term, power in row:
-            qlog += term
-            qprod *= power
+        qlog, qprod = _reduce_row(row)
         require_finite(qprod, "deflating product")
         qlogs[j] = qlog
         qprods[j] = qprod
@@ -464,8 +463,6 @@ def gek_step(
         for i in range(m):
             if flags[i]:
                 continue
-            limit = _collision_limit(current, cfg.collision_threshold)
-            _check_collisions(current, flags, limit)
             ws = _fill_workspace(poly, current, multiplicities, flags, cfg,
                                  evals, rows, moved)
             current[i] = _gek_update(current, multiplicities, ws, i)

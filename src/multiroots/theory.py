@@ -10,10 +10,10 @@ contraction base ``q``, it decides whether the fourth-order error bound
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DegenerateSystemError, InsufficientDataError
 from .iteration import IterationTrace
@@ -21,7 +21,7 @@ from .rootsystem import RootSystem, separation
 
 #: Error pairs below 100 * eps * max(1, |root|) are saturated by rounding
 #: and are discarded before fitting a convergence order.
-NOISE_FLOOR_FACTOR = 100.0 * np.finfo(float).eps
+NOISE_FLOOR_FACTOR = 100.0 * sys.float_info.epsilon
 
 #: A pair must contract by at least this factor to count as progress.
 #: Sequences parked at their attainable accuracy (frozen components, or
@@ -172,7 +172,8 @@ def estimate_order(trace: IterationTrace, true_roots: RootSystem) -> list[Option
     with fewer than MIN_USABLE_PAIRS usable pairs report None
     (insufficient data); saturated fourth-order runs in binary64 typically
     land there, because machine precision is reached within two or three
-    sweeps.
+    sweeps.  So do indices whose usable pairs all share one log e_k,
+    where the slope is undefined.
 
     Raises
     ------
@@ -201,9 +202,8 @@ def estimate_order(trace: IterationTrace, true_roots: RootSystem) -> list[Option
                     and errs[k + 1] < STAGNATION_RATIO * errs[k]):
                 xs.append(math.log(errs[k]))
                 ys.append(math.log(errs[k + 1]))
-        if len(xs) < MIN_USABLE_PAIRS:
+        if len(xs) < MIN_USABLE_PAIRS or min(xs) == max(xs):
             orders.append(None)
         else:
-            slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
-            orders.append(slope)
+            orders.append(statistics.linear_regression(xs, ys).slope)
     return orders

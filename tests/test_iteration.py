@@ -19,6 +19,7 @@ from multiroots import (
     ek_step,
     eval_with_derivative,
     gek_step,
+    integer_power,
     poly_from_roots,
     q_log_derivative,
     q_product,
@@ -107,6 +108,92 @@ class TestSValue:
             a / (approx[2] - r) for a, r in zip(DEMO_MULTS, DEMO_ROOTS)
         ) - q_log_derivative(approx, DEMO_MULTS, 2)
         assert got == pytest.approx(direct, rel=1e-10)
+
+
+# The loops the deflation helpers used to carry, kept as a test-local
+# reference: the library now forms the helpers' row with the workspace's
+# pair terms and reduces it the same way, and must give the same bits.
+def _ref_q_log_derivative(values, multiplicities, index):
+    vec = iteration._as_vector(values)
+    limit = iteration._collision_limit(vec, iteration.DEFAULT_COLLISION_THRESHOLD)
+    total = complex(0.0)
+    for j in range(len(vec)):
+        if j == index:
+            continue
+        diff = vec[index] - vec[j]
+        if abs(diff) <= limit:
+            raise CollisionError(
+                f"approximations {index} and {j} are within {limit:.3e}"
+            )
+        total += multiplicities[j] / diff
+    return total
+
+
+def _ref_q_product(values, multiplicities, index):
+    vec = iteration._as_vector(values)
+    limit = iteration._collision_limit(vec, iteration.DEFAULT_COLLISION_THRESHOLD)
+    prod = complex(1.0)
+    for l in range(len(vec)):
+        if l == index:
+            continue
+        diff = vec[index] - vec[l]
+        if abs(diff) <= limit:
+            raise CollisionError(
+                f"approximations {index} and {l} are within {limit:.3e}"
+            )
+        prod *= integer_power(diff, multiplicities[l])
+    require_finite(prod, "deflating product")
+    return prod
+
+
+def _helper_outcome(helper, *args):
+    try:
+        return "ok", bits(helper(*args))
+    except MultirootsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestDeflationHelpersKeepTheirBits:
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_bitwise_equal_to_reference_loops(self, complex_values):
+        rng = np.random.default_rng(2000 + complex_values)
+        for m in range(1, 13):
+            for _ in range(4):
+                half = 0.5 * m + 1.0
+                values = tuple(
+                    complex(rng.uniform(-half, half),
+                            rng.uniform(-half, half) if complex_values else 0.0)
+                    for _ in range(m)
+                )
+                mults = tuple(int(a) for a in rng.integers(1, 4, m))
+                for i in range(m):
+                    assert (_helper_outcome(q_log_derivative, values, mults, i)
+                            == ("ok", bits(_ref_q_log_derivative(values, mults, i))))
+                    assert (_helper_outcome(q_product, values, mults, i)
+                            == ("ok", bits(_ref_q_product(values, mults, i))))
+
+    def test_collision_matches_reference(self):
+        values, mults = (3.0, 1.0, 1.0 + 1e-15), (2, 1, 1)
+        for helper, ref in ((q_log_derivative, _ref_q_log_derivative),
+                            (q_product, _ref_q_product)):
+            got = _helper_outcome(helper, values, mults, 1)
+            assert got == _helper_outcome(ref, values, mults, 1)
+            assert got[0] == "CollisionError"
+            assert got[1].startswith("approximations 1 and 2 are within")
+
+    def test_overflowing_power_raises_like_the_workspace(self):
+        # (0 - 1e8)**40 overflows binary64.  The sum alone is finite, and
+        # the old loop returned it; the shared row forms the power and
+        # raises, as a workspace build or a step at this vector does.
+        values, mults = (0.0, 1e8), (1, 40)
+        assert _ref_q_log_derivative(values, mults, 0) == -4e-07
+        poly = poly_from_roots(RootSystem((0, 1), mults))
+        for call in (lambda: q_log_derivative(values, mults, 0),
+                     lambda: q_product(values, mults, 0),
+                     lambda: build_step_workspace(poly, values, mults),
+                     lambda: gek_step(poly, values, mults)):
+            with pytest.raises(NonFiniteError, match="integer_power"):
+                call()
 
 
 class TestStepWorkspace:

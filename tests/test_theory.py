@@ -155,6 +155,12 @@ class TestEstimateOrder:
         trace = synthetic_trace(errors)
         assert estimate_order(trace, RootSystem((0,), (1,)))[0] is None
 
+    def test_constant_abscissa_reports_none(self, capfd):
+        # three usable pairs, all at x = log 1: the slope is undefined
+        trace = synthetic_trace([1.0, 0.25] * 3)
+        assert estimate_order(trace, RootSystem((0,), (1,))) == [None]
+        assert capfd.readouterr().err == ""
+
     def test_short_trace_raises(self):
         trace = synthetic_trace([0.1, 0.01])
         with pytest.raises(InsufficientDataError):
