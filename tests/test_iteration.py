@@ -183,7 +183,7 @@ class TestDeflationHelpersKeepTheirBits:
 
     def test_overflowing_power_raises_like_the_workspace(self):
         # (0 - 1e8)**40 overflows binary64.  The sum alone is finite, and
-        # the old loop returned it; the shared row forms the power and
+        # the reference loop returns it; the shared row forms the power and
         # raises, as a workspace build or a step at this vector does.
         values, mults = (0.0, 1e8), (1, 40)
         assert _ref_q_log_derivative(values, mults, 0) == -4e-07
