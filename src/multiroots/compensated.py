@@ -1,4 +1,4 @@
-"""Double-word (compensated) arithmetic for complex accumulation.
+"""Compensated (double-word) Horner evaluation of complex polynomials.
 
 Plain binary64 Horner loses all significance once the polynomial value
 drops below ``eps * sum(|a_k| |z|^k)``; near a root of multiplicity 2 or 3
@@ -6,114 +6,25 @@ the computed value is then pure rounding noise (frequently exactly 0.0),
 which starves the iteration of its residual signal.  Accumulating in
 double-word arithmetic keeps roughly twice the working precision.
 
-The primitives below are the classic error-free transformations (Knuth
-two-sum, Dekker split and product); no FMA is assumed.  ``ComplexDD``
-combines them into complex double-word values.  ``horner_with_derivative``
-is the evaluation kernel: it performs the same binary64 operations, in the
-same order, as a Horner loop over ``ComplexDD``, but on plain local floats,
-with the Dekker splits of the evaluation point computed once per call.  It
-skips ``two_prod``'s test for a non-finite product, which cannot turn a
-non-finite result finite, so its finite results are bitwise those of the
-loop.
-One degree-6 evaluation takes about 20 us, against 50-65 us for the
-``ComplexDD`` loop (best of 7 x 2,000 calls; CPython 3.11, shared Xeon).
+``horner_with_derivative`` writes the classic error-free transformations
+(Knuth two-sum, Dekker split and product; no FMA) out inline on local
+floats.  Its reference is the Horner loop over the ``ComplexDD`` class of
+``tests/test_polynomial.py``, whose binary64 operations it performs in the
+same order, so its finite results are bitwise the loop's.  One degree-6
+evaluation takes about 20 us, against 50-65 us for that loop (best of
+7 x 2,000 calls; CPython 3.11, shared Xeon).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 # Dekker's split overflows once |a| * _SPLITTER exceeds the binary64 range;
-# beyond this magnitude two_prod falls back to the uncompensated product
-# (the compensation term is meaningless that close to overflow anyway).
+# a factor beyond this magnitude takes the uncompensated product (the
+# compensation term is meaningless that close to overflow anyway).
 _SPLIT_LIMIT = 2.0 ** 996
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Exact sum: returns (fl(a+b), rounding error)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    """two_sum assuming |a| >= |b|."""
-    s = a + b
-    return s, b - (s - a)
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Exact product: returns (fl(a*b), rounding error)."""
-    p = a * b
-    if not math.isfinite(p) or abs(a) > _SPLIT_LIMIT or abs(b) > _SPLIT_LIMIT:
-        return p, 0.0
-    ta = _SPLITTER * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLITTER * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
-    s, e = two_sum(ahi, bhi)
-    e += alo + blo
-    return quick_two_sum(s, e)
-
-
-def dd_add_double(ahi: float, alo: float, b: float) -> tuple[float, float]:
-    s, e = two_sum(ahi, b)
-    e += alo
-    return quick_two_sum(s, e)
-
-
-def dd_mul_double(ahi: float, alo: float, b: float) -> tuple[float, float]:
-    p, e = two_prod(ahi, b)
-    e += alo * b
-    return quick_two_sum(p, e)
-
-
-class ComplexDD:
-    """A complex number whose real and imaginary parts are double-word.
-
-    Supports exactly the operations the Horner recurrences need: multiply
-    by an ordinary complex, add an ordinary complex, add another ComplexDD,
-    and round back to a complex double.
-    """
-
-    __slots__ = ("rh", "rl", "ih", "il")
-
-    def __init__(self, rh: float = 0.0, rl: float = 0.0,
-                 ih: float = 0.0, il: float = 0.0):
-        self.rh, self.rl, self.ih, self.il = rh, rl, ih, il
-
-    def mul_complex(self, z: complex) -> "ComplexDD":
-        zr, zi = z.real, z.imag
-        arh, arl = dd_mul_double(self.rh, self.rl, zr)
-        brh, brl = dd_mul_double(self.ih, self.il, -zi)
-        rh, rl = dd_add(arh, arl, brh, brl)
-        crh, crl = dd_mul_double(self.rh, self.rl, zi)
-        drh, drl = dd_mul_double(self.ih, self.il, zr)
-        ih, il = dd_add(crh, crl, drh, drl)
-        return ComplexDD(rh, rl, ih, il)
-
-    def add_complex(self, c: complex) -> "ComplexDD":
-        rh, rl = dd_add_double(self.rh, self.rl, c.real)
-        ih, il = dd_add_double(self.ih, self.il, c.imag)
-        return ComplexDD(rh, rl, ih, il)
-
-    def add(self, other: "ComplexDD") -> "ComplexDD":
-        rh, rl = dd_add(self.rh, self.rl, other.rh, other.rl)
-        ih, il = dd_add(self.ih, self.il, other.ih, other.il)
-        return ComplexDD(rh, rl, ih, il)
-
-    def to_complex(self) -> complex:
-        return complex(self.rh + self.rl, self.ih + self.il)
 
 
 def horner_with_derivative(
@@ -122,18 +33,19 @@ def horner_with_derivative(
     """Compensated Horner pass for ``x^n + a_1 x^(n-1) + ... + a_n`` and its
     derivative at ``z``; ``coefficients`` holds ``a_1 .. a_n``.
 
-    Bitwise equal to the ``ComplexDD`` recurrence ::
+    Bitwise equal to this recurrence of ``tests/test_polynomial.py`` ::
 
         value, deriv = ComplexDD(1.0), ComplexDD(0.0)
         for a in coefficients:
             deriv = deriv.mul_complex(z).add(value)
             value = value.mul_complex(z).add_complex(a)
 
-    with ``two_prod``, ``dd_mul_double``, ``dd_add`` and ``dd_add_double``
-    written out inline.  The splits of ``z.real``, ``z.imag`` and
-    ``-z.imag`` are hoisted out of the loop (``-z.imag`` is split directly,
-    so signed zeros come out as ``two_prod`` would give them), and each
-    accumulator part is split once per step for its two products.  The
+    with that file's ``two_prod``, ``dd_mul_double``, ``dd_add`` and
+    ``dd_add_double`` written out inline.  The splits of ``z.real``,
+    ``z.imag`` and ``-z.imag`` are hoisted out of the loop (``-z.imag`` is
+    split directly, so signed zeros come out as ``two_prod`` would give
+    them), and each accumulator part is split once per step for its two
+    products.  The
     ``_SPLIT_LIMIT`` guard of ``two_prod`` is kept per product: a factor
     beyond it contributes no error term.  Its other guard, for a
     non-finite product, is left out: once a product is inf or nan, +, -

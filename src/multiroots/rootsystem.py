@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .compensated import ComplexDD
 from .errors import DegenerateSystemError
 from .polynomial import MonicPolynomial, is_finite
 
@@ -28,7 +28,7 @@ class RootSystem:
 
     def __post_init__(self):
         roots = tuple(complex(r) for r in self.roots)
-        mults = tuple(int(a) for a in self.multiplicities)
+        mults = tuple(_as_multiplicity(a) for a in self.multiplicities)
         if len(roots) < 1:
             raise ValueError("a root system needs at least one root")
         if len(roots) != len(mults):
@@ -64,29 +64,46 @@ class RootSystem:
         return sum(self.multiplicities)
 
 
+def _as_multiplicity(a) -> int:
+    """``a`` as an int; bools and non-integers (``2.5``, ``2.0``) raise."""
+    try:
+        if not isinstance(a, bool):
+            return operator.index(a)
+    except TypeError:
+        pass
+    raise ValueError(f"multiplicities must be integers, got {a!r}")
+
+
 def poly_from_roots(rs: RootSystem) -> MonicPolynomial:
     """Expand prod (x - x_i)^alpha_i into a monic coefficient list.
 
-    Linear factors are multiplied in ascending index order (deterministic
-    coefficient-level output; permutation invariance holds only to rounding).
-    The convolution is accumulated in double-word arithmetic and rounded to
-    binary64 once at the end, so the stored coefficients are as accurate as
-    the representation allows.
+    Each coefficient is the exact product rounded once to binary64, so the
+    result does not depend on the order of the roots.  Scaled by a common
+    2^E, every root part is an integer; the product is expanded over
+    Gaussian integers and a_k divided by 2^(E*k) in int true division,
+    which CPython rounds correctly (the signed zero of an underflow
+    included).  Raises ValueError when a coefficient overflows.
     """
-    coeffs = [ComplexDD(1.0)]
-    for root, mult in zip(rs.roots, rs.multiplicities):
-        neg = -complex(root)
-        for _ in range(mult):
-            nxt = [ComplexDD(0.0) for _ in range(len(coeffs) + 1)]
-            nxt[0] = coeffs[0]
-            for k in range(1, len(coeffs)):
-                nxt[k] = coeffs[k].add(coeffs[k - 1].mul_complex(neg))
-            nxt[len(coeffs)] = coeffs[-1].mul_complex(neg)
-            coeffs = nxt
-    low = [c.to_complex() for c in coeffs[1:]]
-    for k, c in enumerate(low, start=1):
-        if not is_finite(c):
-            raise ValueError(f"expanded coefficient a_{k} overflowed")
+    ratios = [p.as_integer_ratio() for r in rs.roots for p in (r.real, r.imag)]
+    e = max(d.bit_length() for _, d in ratios) - 1
+    scaled = [n * ((1 << e) // d) for n, d in ratios]
+    factors = [(xr, xi) for xr, xi, mult in
+               zip(scaled[0::2], scaled[1::2], rs.multiplicities)
+               for _ in range(mult)]
+    re, im = [1] + [0] * rs.degree, [0] * (rs.degree + 1)
+    for n, (xr, xi) in enumerate(factors, start=1):
+        # Multiply by (x - X) in place, highest degree first.
+        for k in range(n, 0, -1):
+            pr, pi = re[k - 1], im[k - 1]
+            re[k] -= xr * pr - xi * pi
+            im[k] -= xr * pi + xi * pr
+    low = []
+    for k in range(1, rs.degree + 1):
+        scale = 1 << (e * k)
+        try:
+            low.append(complex(re[k] / scale, im[k] / scale))
+        except OverflowError:
+            raise ValueError(f"expanded coefficient a_{k} overflowed") from None
     return MonicPolynomial(tuple(low))
 
 

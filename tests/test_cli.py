@@ -188,6 +188,21 @@ class TestSolveCommand:
         assert code == EXIT_MAX_ITERATIONS
         assert json.loads(out)["status"] == "MaxIterations"
 
+    def test_overflowing_expansion_exits_one(self, capsys, monkeypatch):
+        doc = {"roots": [1e200, -1e200], "multiplicities": [2, 1],
+               "initial": [1, 2]}
+        code, out, err = run_main(capsys, ["solve"], json.dumps(doc), monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input: bad roots: expanded coefficient a_2 overflowed\n"
+
+    def test_huge_initial_guesses_exit_three(self, capsys, monkeypatch):
+        doc = {"roots": [1, -1], "multiplicities": [2, 1],
+               "initial": [1e300, -1e300]}
+        code, out, _ = run_main(capsys, ["solve"], json.dumps(doc), monkeypatch)
+        assert code == EXIT_NUMERICAL
+        assert "status: Overflow" in out.splitlines()
+
     @pytest.mark.parametrize("config", [
         '"max_iterations": 2.5',
         '"max_iterations": 1e400',

@@ -12,7 +12,7 @@ from multiroots import (
     eval_with_derivative,
     integer_power,
 )
-from multiroots.compensated import ComplexDD
+from multiroots.compensated import _SPLIT_LIMIT, _SPLITTER
 
 # Expansion of (x+2)^2 (x-1) (x-3)^3; every coefficient is an exact
 # integer, so evaluation at the integer roots must be exact as well.
@@ -153,6 +153,94 @@ def test_derivative_matches_central_difference():
         fd = (vp - vm) / (2 * h)
         assert abs(fd - deriv) / abs(deriv) <= 1e-6
         checked += 1
+
+
+# The double-word primitives and the complex double-word class that
+# ``compensated.horner_with_derivative`` was written out from.  They are the
+# reference the flat kernel is checked against, bit for bit.
+
+def two_sum(a: float, b: float) -> tuple[float, float]:
+    """Exact sum: returns (fl(a+b), rounding error)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def quick_two_sum(a: float, b: float) -> tuple[float, float]:
+    """two_sum assuming |a| >= |b|."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def two_prod(a: float, b: float) -> tuple[float, float]:
+    """Exact product: returns (fl(a*b), rounding error)."""
+    p = a * b
+    if not math.isfinite(p) or abs(a) > _SPLIT_LIMIT or abs(b) > _SPLIT_LIMIT:
+        return p, 0.0
+    ta = _SPLITTER * a
+    ahi = ta - (ta - a)
+    alo = a - ahi
+    tb = _SPLITTER * b
+    bhi = tb - (tb - b)
+    blo = b - bhi
+    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    return p, err
+
+
+def dd_add(ahi: float, alo: float, bhi: float, blo: float) -> tuple[float, float]:
+    s, e = two_sum(ahi, bhi)
+    e += alo + blo
+    return quick_two_sum(s, e)
+
+
+def dd_add_double(ahi: float, alo: float, b: float) -> tuple[float, float]:
+    s, e = two_sum(ahi, b)
+    e += alo
+    return quick_two_sum(s, e)
+
+
+def dd_mul_double(ahi: float, alo: float, b: float) -> tuple[float, float]:
+    p, e = two_prod(ahi, b)
+    e += alo * b
+    return quick_two_sum(p, e)
+
+
+class ComplexDD:
+    """A complex number whose real and imaginary parts are double-word.
+
+    Supports exactly the operations the Horner recurrences need: multiply
+    by an ordinary complex, add an ordinary complex, add another ComplexDD,
+    and round back to a complex double.
+    """
+
+    __slots__ = ("rh", "rl", "ih", "il")
+
+    def __init__(self, rh: float = 0.0, rl: float = 0.0,
+                 ih: float = 0.0, il: float = 0.0):
+        self.rh, self.rl, self.ih, self.il = rh, rl, ih, il
+
+    def mul_complex(self, z: complex) -> "ComplexDD":
+        zr, zi = z.real, z.imag
+        arh, arl = dd_mul_double(self.rh, self.rl, zr)
+        brh, brl = dd_mul_double(self.ih, self.il, -zi)
+        rh, rl = dd_add(arh, arl, brh, brl)
+        crh, crl = dd_mul_double(self.rh, self.rl, zi)
+        drh, drl = dd_mul_double(self.ih, self.il, zr)
+        ih, il = dd_add(crh, crl, drh, drl)
+        return ComplexDD(rh, rl, ih, il)
+
+    def add_complex(self, c: complex) -> "ComplexDD":
+        rh, rl = dd_add_double(self.rh, self.rl, c.real)
+        ih, il = dd_add_double(self.ih, self.il, c.imag)
+        return ComplexDD(rh, rl, ih, il)
+
+    def add(self, other: "ComplexDD") -> "ComplexDD":
+        rh, rl = dd_add(self.rh, self.rl, other.rh, other.rl)
+        ih, il = dd_add(self.ih, self.il, other.ih, other.il)
+        return ComplexDD(rh, rl, ih, il)
+
+    def to_complex(self) -> complex:
+        return complex(self.rh + self.rl, self.ih + self.il)
 
 
 def reference_eval_with_derivative(poly, z):

@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -16,18 +17,28 @@ from conftest import continuous_system
 def exact_expansion(roots, mults):
     """Oracle: expand prod (x - r)^alpha in exact rational arithmetic.
 
-    Works for real rational roots; returns the trailing coefficients.
+    Returns the trailing coefficients as (real, imaginary) Fraction pairs.
     """
-    coeffs = [Fraction(1)]
+    re, im = [Fraction(1)], [Fraction(0)]
     for root, mult in zip(roots, mults):
-        r = Fraction(root)
+        xr, xi = Fraction(complex(root).real), Fraction(complex(root).imag)
         for _ in range(mult):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for k, c in enumerate(coeffs):
-                nxt[k] += c
-                nxt[k + 1] -= c * r
-            coeffs = nxt
-    return coeffs[1:]
+            nr, ni = re + [Fraction(0)], im + [Fraction(0)]
+            for k in range(1, len(nr)):
+                nr[k] -= xr * re[k - 1] - xi * im[k - 1]
+                ni[k] -= xr * im[k - 1] + xi * re[k - 1]
+            re, im = nr, ni
+    return list(zip(re[1:], im[1:]))
+
+
+def bits(coefficients):
+    return b"".join(struct.pack("<dd", c.real, c.imag) for c in coefficients)
+
+
+def correctly_rounded(roots, mults):
+    """The exact expansion with each part rounded once to binary64."""
+    return bits(complex(float(re), float(im))
+                for re, im in exact_expansion(roots, mults))
 
 
 class TestRootSystemValidation:
@@ -38,6 +49,18 @@ class TestRootSystemValidation:
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             RootSystem((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("mult", [2.5, 2.0, True, "2", np.float64(2.0)],
+                             ids=["2.5", "2.0", "True", "str", "float64"])
+    def test_non_integer_multiplicity_rejected(self, mult):
+        # int() would truncate 2.5 to 2 and turn True into 1
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            RootSystem((1.0,), (mult,))
+
+    def test_integer_like_multiplicities_accepted(self):
+        rs = RootSystem((1.0, 2.0), (np.int64(2), 3))
+        assert rs.multiplicities == (2, 3)
+        assert all(type(a) is int for a in rs.multiplicities)
 
     def test_coincident_roots_rejected(self):
         with pytest.raises(ValueError):
@@ -58,7 +81,7 @@ class TestPolyFromRoots:
     def test_sextic_fixture_coefficients(self, demo_system):
         # oracle: exact rational expansion of (x+2)^2 (x-1) (x-3)^3
         expected = exact_expansion([-2, 1, 3], [2, 1, 3])
-        assert [Fraction(c) for c in (-6, 0, 50, -45, -108, 108)] == expected
+        assert expected == [(Fraction(c), 0) for c in (-6, 0, 50, -45, -108, 108)]
         poly = poly_from_roots(demo_system)
         assert poly.low_coefficients == (-6, 0, 50, -45, -108, 108)
 
@@ -75,8 +98,20 @@ class TestPolyFromRoots:
         poly = poly_from_roots(RootSystem((5,), (2,)))
         assert poly.low_coefficients == (-10, 25)
 
+    # Systems whose double-word expansion was not correctly rounded.
+    ROUNDING_CASES = [
+        # a_5's real part is exactly 0; the double-word result was -1.23e-43
+        (((-0.004 + 0.002j), -0.005j, (-0.005 + 0.005j)), (1, 1, 4)),
+        # degree 41 at |x| ~ 2^-30: a_36 is subnormal and a_37 .. a_41
+        # underflow, some of them to -0.0
+        (tuple(complex(a, b) * 2.0 ** -32
+               for a, b in ((-3, 8), (5, 1), (0, -8), (-2, -3), (6, -3))),
+         (4, 11, 3, 11, 12)),
+    ]
+
     def test_random_rational_roots_match_exact_expansion(self):
         rng = np.random.default_rng(8)
+        systems = list(self.ROUNDING_CASES)
         for _ in range(40):
             m = int(rng.integers(1, 5))
             # quarter-integer roots stay exactly representable
@@ -86,11 +121,16 @@ class TestPolyFromRoots:
                 if all(abs(r - s) > 0.2 for s in roots):
                     roots.append(r)
             mults = [int(rng.integers(1, 4)) for _ in range(m)]
-            poly = poly_from_roots(RootSystem(tuple(roots), tuple(mults)))
-            expected = exact_expansion(roots, mults)
-            for got, want in zip(poly.low_coefficients, expected):
-                assert got.imag == 0
-                assert got.real == pytest.approx(float(want), rel=1e-14, abs=1e-14)
+            systems.append((tuple(roots), tuple(mults)))
+        for roots, mults in systems:
+            poly = poly_from_roots(RootSystem(roots, mults))
+            assert bits(poly.low_coefficients) == correctly_rounded(roots, mults), \
+                (roots, mults)
+
+    def test_overflowing_coefficient_named(self):
+        # (x - a)^2 (x + a) = x^3 - a x^2 - a^2 x + a^3 with a = 1e200
+        with pytest.raises(ValueError, match="expanded coefficient a_2 overflowed"):
+            poly_from_roots(RootSystem((1e200, -1e200), (2, 1)))
 
     def test_round_trip_residual_small(self):
         # |A(x_i)| stays tiny at each constructed root for moderate systems
@@ -115,9 +155,7 @@ class TestPolyFromRoots:
                 tuple(rs.multiplicities[p] for p in perm),
             )
             poly2 = poly_from_roots(shuffled)
-            for a, b in zip(poly.low_coefficients, poly2.low_coefficients):
-                scale = max(1.0, abs(a))
-                assert abs(a - b) <= 1e-12 * scale
+            assert bits(poly.low_coefficients) == bits(poly2.low_coefficients)
 
 
 class TestSeparation:
