@@ -21,9 +21,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, set_field
 from .errors import DegenerateSystemError, InsufficientDataError, MultirootsError
 from .iteration import (
     SolveConfig,
@@ -69,15 +69,28 @@ class ProblemSpecError(ValueError):
     """Malformed problem document."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Record):
     """A solver problem: polynomial source, multiplicities, start vector."""
 
     poly: MonicPolynomial
     multiplicities: tuple[int, ...]
     initial: tuple[complex, ...]
     config: SolveConfig
-    roots: Optional[tuple[complex, ...]] = None  # known true roots, if given
+    roots: Optional[tuple[complex, ...]]  # known true roots, if given
+
+    def __init__(
+        self,
+        poly: MonicPolynomial,
+        multiplicities: tuple[int, ...],
+        initial: tuple[complex, ...],
+        config: SolveConfig,
+        roots: Optional[tuple[complex, ...]] = None,
+    ) -> None:
+        set_field(self, "poly", poly)
+        set_field(self, "multiplicities", multiplicities)
+        set_field(self, "initial", initial)
+        set_field(self, "config", config)
+        set_field(self, "roots", roots)
 
 
 def _is_number(obj) -> bool:

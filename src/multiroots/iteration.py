@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._record import Record, set_field
 from .errors import (
     CollisionError,
     NonFiniteError,
@@ -26,6 +26,7 @@ from .polynomial import (
     integer_power,
     require_finite,
 )
+from .rootsystem import _as_multiplicity
 
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_STEP_TOLERANCE = 1e-14
@@ -66,27 +67,39 @@ class UpdateMode(enum.Enum):
     SERIAL = "serial"
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    step_tolerance: float = DEFAULT_STEP_TOLERANCE
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE
-    collision_threshold: float = DEFAULT_COLLISION_THRESHOLD
-    update_mode: UpdateMode = UpdateMode.TOTAL_STEP
+class SolveConfig(Record):
+    max_iterations: int
+    step_tolerance: float
+    residual_tolerance: float
+    collision_threshold: float
+    update_mode: UpdateMode
 
-    def __post_init__(self):
-        if (not isinstance(self.max_iterations, int)
-                or isinstance(self.max_iterations, bool)):
+    def __init__(
+        self,
+        max_iterations: int = DEFAULT_MAX_ITERATIONS,
+        step_tolerance: float = DEFAULT_STEP_TOLERANCE,
+        residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
+        collision_threshold: float = DEFAULT_COLLISION_THRESHOLD,
+        update_mode: UpdateMode = UpdateMode.TOTAL_STEP,
+    ) -> None:
+        if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
             raise ValueError(
-                f"max_iterations must be an integer, got {self.max_iterations!r}"
+                f"max_iterations must be an integer, got {max_iterations!r}"
             )
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("step_tolerance", "residual_tolerance", "collision_threshold"):
-            if not 0.0 < getattr(self, name) < math.inf:
+        for name, value in (("step_tolerance", step_tolerance),
+                            ("residual_tolerance", residual_tolerance),
+                            ("collision_threshold", collision_threshold)):
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not isinstance(self.update_mode, UpdateMode):
-            raise ValueError(f"update_mode must be an UpdateMode, got {self.update_mode!r}")
+        if not isinstance(update_mode, UpdateMode):
+            raise ValueError(f"update_mode must be an UpdateMode, got {update_mode!r}")
+        set_field(self, "max_iterations", max_iterations)
+        set_field(self, "step_tolerance", step_tolerance)
+        set_field(self, "residual_tolerance", residual_tolerance)
+        set_field(self, "collision_threshold", collision_threshold)
+        set_field(self, "update_mode", update_mode)
 
 
 class SolveStatus(enum.Enum):
@@ -97,8 +110,7 @@ class SolveStatus(enum.Enum):
     OVERFLOW = "Overflow"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Record):
     """State after iteration k (k = 0 is the initial vector).
 
     ``steps`` holds per-index |x_i^[k] - x_i^[k-1]| and is None on the
@@ -111,10 +123,26 @@ class TraceRecord:
     steps: Optional[tuple[float, ...]]
     frozen: tuple[bool, ...]
 
+    def __init__(
+        self,
+        k: int,
+        values: tuple[complex, ...],
+        residuals: tuple[float, ...],
+        steps: Optional[tuple[float, ...]],
+        frozen: tuple[bool, ...],
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "values", values)
+        set_field(self, "residuals", residuals)
+        set_field(self, "steps", steps)
+        set_field(self, "frozen", frozen)
 
-@dataclass(frozen=True)
-class IterationTrace:
-    records: tuple[TraceRecord, ...] = field(default_factory=tuple)
+
+class IterationTrace(Record):
+    records: tuple[TraceRecord, ...]
+
+    def __init__(self, records: tuple[TraceRecord, ...] = ()) -> None:
+        set_field(self, "records", records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -126,12 +154,23 @@ class IterationTrace:
         return self.records[k]
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     status: SolveStatus
     final: tuple[complex, ...]
     iterations_used: int
     trace: IterationTrace
+
+    def __init__(
+        self,
+        status: SolveStatus,
+        final: tuple[complex, ...],
+        iterations_used: int,
+        trace: IterationTrace,
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "final", final)
+        set_field(self, "iterations_used", iterations_used)
+        set_field(self, "trace", trace)
 
     @property
     def converged(self) -> bool:
@@ -229,8 +268,7 @@ def s_value(
     )
 
 
-@dataclass(frozen=True)
-class StepWorkspace:
+class StepWorkspace(Record):
     """Per-index quantities for one total-step sweep.
 
     Frozen indices carry None in every slot.  ``s_values`` additionally
@@ -246,6 +284,22 @@ class StepWorkspace:
     s_values: tuple[Optional[complex], ...]
     q_products: tuple[Optional[complex], ...]
     correction_sums: tuple[Optional[complex], ...]
+
+    def __init__(
+        self,
+        a_values: tuple[Optional[complex], ...],
+        a_primes: tuple[Optional[complex], ...],
+        q_log_derivatives: tuple[Optional[complex], ...],
+        s_values: tuple[Optional[complex], ...],
+        q_products: tuple[Optional[complex], ...],
+        correction_sums: tuple[Optional[complex], ...],
+    ) -> None:
+        set_field(self, "a_values", a_values)
+        set_field(self, "a_primes", a_primes)
+        set_field(self, "q_log_derivatives", q_log_derivatives)
+        set_field(self, "s_values", s_values)
+        set_field(self, "q_products", q_products)
+        set_field(self, "correction_sums", correction_sums)
 
 
 def build_step_workspace(
@@ -587,7 +641,7 @@ def _validate_problem(poly, multiplicities, m):
             f"{m} approximations but {len(multiplicities)} multiplicities"
         )
     for a in multiplicities:
-        if int(a) != a or a < 1:
+        if _as_multiplicity(a) < 1:
             raise ValueError(f"multiplicities must be positive integers, got {a!r}")
     if sum(multiplicities) != poly.degree:
         raise ValueError(

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .compensated import horner_with_derivative
 from .errors import NonFiniteError
 
@@ -20,8 +20,7 @@ def require_finite(z: complex, what: str) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class MonicPolynomial:
+class MonicPolynomial(Record):
     """A monic polynomial  x^n + a_1 x^(n-1) + ... + a_n.
 
     Only the trailing coefficients a_1..a_n are stored; the leading
@@ -31,14 +30,14 @@ class MonicPolynomial:
 
     low_coefficients: tuple[complex, ...]
 
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.low_coefficients)
+    def __init__(self, low_coefficients: tuple[complex, ...]) -> None:
+        coeffs = tuple(complex(c) for c in low_coefficients)
         if len(coeffs) < 1:
             raise ValueError("a monic polynomial needs degree >= 1")
         for k, c in enumerate(coeffs, start=1):
             if not is_finite(c):
                 raise ValueError(f"coefficient a_{k} is not finite: {c!r}")
-        object.__setattr__(self, "low_coefficients", coeffs)
+        set_field(self, "low_coefficients", coeffs)
 
     @property
     def degree(self) -> int:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import DegenerateSystemError
 from .polynomial import MonicPolynomial, is_finite
 
@@ -14,8 +14,7 @@ from .polynomial import MonicPolynomial, is_finite
 DISTINCTNESS_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Distinct roots x_1..x_m with multiplicities summing to the degree.
 
     Invariants enforced at construction: at least one root, equal-length
@@ -26,9 +25,10 @@ class RootSystem:
     roots: tuple[complex, ...]
     multiplicities: tuple[int, ...]
 
-    def __post_init__(self):
-        roots = tuple(complex(r) for r in self.roots)
-        mults = tuple(_as_multiplicity(a) for a in self.multiplicities)
+    def __init__(self, roots: tuple[complex, ...],
+                 multiplicities: tuple[int, ...]) -> None:
+        roots = tuple(complex(r) for r in roots)
+        mults = tuple(_as_multiplicity(a) for a in multiplicities)
         if len(roots) < 1:
             raise ValueError("a root system needs at least one root")
         if len(roots) != len(mults):
@@ -50,8 +50,8 @@ class RootSystem:
                         f"roots {j} and {i} are closer than {limit:.3e}; "
                         f"merge them into one root of higher multiplicity"
                     )
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "multiplicities", mults)
+        set_field(self, "roots", roots)
+        set_field(self, "multiplicities", mults)
 
     @property
     def m(self) -> int:

@@ -10,11 +10,10 @@ contraction base ``q``, it decides whether the fourth-order error bound
 from __future__ import annotations
 
 import math
-import statistics
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, set_field
 from .errors import DegenerateSystemError, InsufficientDataError
 from .iteration import IterationTrace
 from .rootsystem import RootSystem, separation
@@ -37,8 +36,7 @@ STAGNATION_RATIO = 0.5
 MIN_USABLE_PAIRS = 3
 
 
-@dataclass(frozen=True)
-class TheoremConstants:
+class TheoremConstants(Record):
     """Constants of the guarantee inequality for one root system.
 
     M and N are the growth factors
@@ -54,14 +52,36 @@ class TheoremConstants:
     M: float
     N: float
 
+    def __init__(self, c: float, q: float, d: float, n: int, M: float,
+                 N: float) -> None:
+        set_field(self, "c", c)
+        set_field(self, "q", q)
+        set_field(self, "d", d)
+        set_field(self, "n", n)
+        set_field(self, "M", M)
+        set_field(self, "N", N)
 
-@dataclass(frozen=True)
-class TheoremCheckResult:
+
+class TheoremCheckResult(Record):
     constants: TheoremConstants
     lhs: float
     per_root_margin: tuple[float, ...]
     guaranteed: bool
-    reason: Optional[str] = None
+    reason: Optional[str]
+
+    def __init__(
+        self,
+        constants: TheoremConstants,
+        lhs: float,
+        per_root_margin: tuple[float, ...],
+        guaranteed: bool,
+        reason: Optional[str] = None,
+    ) -> None:
+        set_field(self, "constants", constants)
+        set_field(self, "lhs", lhs)
+        set_field(self, "per_root_margin", per_root_margin)
+        set_field(self, "guaranteed", guaranteed)
+        set_field(self, "reason", reason)
 
 
 def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
@@ -190,6 +210,8 @@ def estimate_order(trace: IterationTrace, true_roots: RootSystem) -> list[Option
             f"trace tracks {len(trace[0].values)} components but "
             f"{true_roots.m} true roots were given"
         )
+
+    import statistics  # only here: it loads fractions and decimal
 
     orders: list[Optional[float]] = []
     for i, root in enumerate(true_roots.roots):

@@ -318,6 +318,19 @@ class TestGekStep:
         with pytest.raises(ValueError):
             gek_step(demo_poly, (-3.0, 0.1, 4.0), (2, 1, 2))
 
+    @pytest.mark.parametrize("mults", [(2, True, 3), (2.0, 1, 3), (2, 1.5, 2.5),
+                                       (2, 0, 4), (3, -1, 4)])
+    def test_multiplicities_checked_like_root_systems(self, demo_poly, mults):
+        with pytest.raises(ValueError, match="multiplicities must be"):
+            gek_step(demo_poly, DEMO_INITIAL, mults)
+        with pytest.raises(ValueError, match="multiplicities must be"):
+            RootSystem(DEMO_ROOTS, mults)
+
+    def test_integer_like_multiplicities_accepted(self, demo_poly):
+        mults = tuple(np.int64(a) for a in DEMO_MULTS)
+        assert gek_step(demo_poly, DEMO_INITIAL, mults) == \
+            gek_step(demo_poly, DEMO_INITIAL, DEMO_MULTS)
+
 
 class TestEkStep:
     def test_linear_newton_is_exact(self):
@@ -700,6 +713,9 @@ class TestSolve:
             solve(demo_poly, (2, 1, 2), DEMO_INITIAL)  # wrong degree sum
         with pytest.raises(ValueError):
             solve(demo_poly, DEMO_MULTS, (1.0, 2.0))  # wrong vector length
+        for mults in ((2, True, 3), (2.0, 1, 3)):
+            with pytest.raises(ValueError, match="multiplicities must be integers"):
+                solve(demo_poly, mults, DEMO_INITIAL)
 
     def test_frozen_components_never_move_in_reports(self, demo_poly):
         cfg = SolveConfig(step_tolerance=1e-15, residual_tolerance=1e-26,

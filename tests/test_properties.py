@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from multiroots import (
     MonicPolynomial,
@@ -74,12 +74,25 @@ def test_derivative_agrees_with_central_difference(poly, z):
 
 
 @given(root_systems())
+@example(RootSystem((1j, 2 + 1.9999999999999998j, 0j, 2j, 1), (3, 3, 2, 3, 3)))
+@example(RootSystem((2.225073858507e-311j, 1 + 0.4610957759394494j), (1, 1)))
 @settings(max_examples=100)
 def test_expanded_polynomial_vanishes_at_roots(rs):
+    # The root is exact and each coefficient is the exact one rounded once
+    # (an error of at most 2**-53 |a_k|), so |A(x)| <= 2**-53 times the
+    # condition sum sum_k |a_k| |x|**(n - k); the compensated evaluation
+    # adds about 2**-106 of that sum.  The bound allows twice as much.
+    # Below the normal range a rounding errs by up to 2**-1075 absolute
+    # instead, in the coefficients and in the evaluation's products alike;
+    # the second term allows 4n errors of 2**-1074 at each power of |x|.
     poly = poly_from_roots(rs)
+    coeffs = (1.0,) + poly.low_coefficients
+    n = poly.degree
     for root in rs.roots:
         value, _ = eval_with_derivative(poly, root)
-        assert abs(value) <= 1e-8
+        powers = [abs(root) ** (n - k) for k in range(n + 1)]
+        condition = sum(abs(a) * p for a, p in zip(coeffs, powers))
+        assert abs(value) <= 2.0 ** -52 * condition + 4 * n * 2.0 ** -1074 * sum(powers)
 
 
 @given(root_systems(), st.randoms(use_true_random=False))
