@@ -53,7 +53,11 @@ class UpdateMode(enum.Enum):
     Either way a sweep evaluates each point once and reuses its (A, A')
     pair for every later use in that sweep.  With ``a`` active components
     a TOTAL_STEP sweep makes ``a`` evaluations; a SERIAL sweep makes
-    ``2a - 1``, one more for each component that has moved.
+    ``2a - 1``, one more for each component that has moved.  `solve` then
+    evaluates the ``a`` updated components once more for their residuals
+    and carries the residual of each frozen one, so one of its sweeps
+    costs ``2a`` evaluations in TOTAL_STEP mode and ``3a - 1`` in SERIAL
+    mode.
 
     The deflation terms are kept across a sweep too.  A SERIAL sweep of
     the generalized step forms the pair terms of every active row once;
@@ -91,7 +95,7 @@ class SolveConfig(Record):
         for name, value in (("step_tolerance", step_tolerance),
                             ("residual_tolerance", residual_tolerance),
                             ("collision_threshold", collision_threshold)):
-            if not 0.0 < value < math.inf:
+            if not (0.0 < value < math.inf and _is_positive_binary64(value)):
                 raise ValueError(f"{name} must be finite and > 0")
         if not isinstance(update_mode, UpdateMode):
             raise ValueError(f"update_mode must be an UpdateMode, got {update_mode!r}")
@@ -100,6 +104,16 @@ class SolveConfig(Record):
         set_field(self, "residual_tolerance", residual_tolerance)
         set_field(self, "collision_threshold", collision_threshold)
         set_field(self, "update_mode", update_mode)
+
+
+def _is_positive_binary64(value) -> bool:
+    # 0 < 10**400 < inf holds for the int, yet no binary64 number is that
+    # large: float() raises OverflowError for it, and rounds a Decimal or
+    # Fraction beyond the range to inf or 0.0.
+    try:
+        return 0.0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 class SolveStatus(enum.Enum):
@@ -675,6 +689,13 @@ def solve(
     sweep, before the iteration budget, so a run that converges on its
     last allowed sweep reports Converged.
 
+    The starting vector costs ``m`` evaluations.  A sweep with ``a``
+    components active costs its step's evaluations (see `UpdateMode`)
+    plus ``a`` for the residuals of the updated components.  A frozen
+    component is copied through the sweep bitwise unchanged, so its
+    residual is carried from the record before instead of evaluated
+    again.
+
     Parameters
     ----------
     poly : MonicPolynomial
@@ -735,7 +756,12 @@ def solve(
             return report(SolveStatus.OVERFLOW, k - 1)
 
         steps = tuple(abs(new[i] - vec[i]) for i in range(m))
-        residuals = tuple(_residual_magnitude(poly, v) for v in new)
+        # a frozen component came through the sweep bitwise unchanged, so
+        # its residual is carried rather than evaluated again
+        residuals = tuple(
+            residuals[i] if frozen[i] else _residual_magnitude(poly, new[i])
+            for i in range(m)
+        )
         frozen = tuple(
             frozen[i] or residuals[i] <= cfg.residual_tolerance for i in range(m)
         )

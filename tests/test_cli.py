@@ -207,6 +207,10 @@ class TestSolveCommand:
         '"max_iterations": 2.5',
         '"max_iterations": 1e400',
         '"step_tolerance": 1e400',
+        # 400-digit integers: Python ints below inf, beyond binary64
+        *(pytest.param(f'"{name}": 1' + "0" * 400, id=f"{name}-400-digits")
+          for name in ("step_tolerance", "residual_tolerance",
+                       "collision_threshold")),
     ])
     def test_bad_config_exits_one(self, capsys, monkeypatch, config):
         doc = {k: v for k, v in DEMO_PROBLEM.items() if k != "config"}

@@ -37,6 +37,7 @@ from conftest import (
     gaussian_integer_system,
     perturbed,
 )
+from test_golden_traces import RING_CONFIG, ring_problem
 
 
 def bits(z: complex) -> bytes:
@@ -248,6 +249,9 @@ class TestSolveConfig:
         {"step_tolerance": float("nan")},
         {"residual_tolerance": float("inf")},
         {"collision_threshold": float("inf")},
+        {"step_tolerance": 10 ** 400},
+        {"residual_tolerance": 10 ** 400},
+        {"collision_threshold": 10 ** 400},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -716,6 +720,54 @@ class TestSolve:
         for mults in ((2, True, 3), (2.0, 1, 3)):
             with pytest.raises(ValueError, match="multiplicities must be integers"):
                 solve(demo_poly, mults, DEMO_INITIAL)
+
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("kind", ["gek", "ek"])
+    def test_evaluation_ledger(self, monkeypatch, mode, kind):
+        # Three rings of 4 roots; their components freeze at different
+        # sweeps, so later sweeps run with some components frozen.
+        alphas = (2, 3, 1) if kind == "gek" else (1, 1, 1)
+        poly, mults, initial = ring_problem(4, alphas, seed=104)
+        m = len(mults)
+        ledger = []
+
+        def logged(name, fn):
+            def wrapper(*args):
+                ledger.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(iteration, "eval_with_derivative",
+                            logged("eval", iteration.eval_with_derivative))
+        for step in ("gek_step", "ek_step"):
+            monkeypatch.setattr(iteration, step,
+                                logged("sweep", getattr(iteration, step)))
+        cfg = SolveConfig(update_mode=mode, **RING_CONFIG)
+        report = solve(poly, mults, initial, cfg, use_simple_step=kind == "ek")
+        assert report.status is SolveStatus.CONVERGED
+
+        # evaluations before the first sweep, then within each sweep
+        counts = [0]
+        for entry in ledger:
+            if entry == "sweep":
+                counts.append(0)
+            else:
+                counts[-1] += 1
+        assert len(counts) == report.iterations_used + 1
+        assert counts[0] == m
+        carried = 0
+        for k in range(1, len(counts)):
+            before, after = report.trace[k - 1], report.trace[k]
+            active = m - sum(before.frozen)
+            step = active if mode is UpdateMode.TOTAL_STEP else 2 * active - 1
+            # the step's evaluations, then one residual per updated
+            # component; a frozen component's residual is carried
+            assert counts[k] == step + active
+            for i in range(m):
+                if before.frozen[i]:
+                    assert after.residuals[i] == before.residuals[i]
+                    carried += 1
+        assert carried >= 1
 
     def test_frozen_components_never_move_in_reports(self, demo_poly):
         cfg = SolveConfig(step_tolerance=1e-15, residual_tolerance=1e-26,

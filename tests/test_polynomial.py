@@ -12,6 +12,7 @@ from multiroots import (
     eval_with_derivative,
     integer_power,
 )
+from multiroots import compensated
 from multiroots.compensated import _SPLIT_LIMIT, _SPLITTER
 
 # Expansion of (x+2)^2 (x-1) (x-3)^3; every coefficient is an exact
@@ -278,7 +279,7 @@ def assert_same_bits(poly, z):
 class TestFlatKernelMatchesComplexDD:
     SCALES = (2.0 ** -60, 1.0, 2.0 ** 60)
 
-    @pytest.mark.parametrize("degree", range(1, 41))
+    @pytest.mark.parametrize("degree", range(1, 97))
     def test_random_cases_across_scales(self, degree):
         rng = random.Random(degree)
         finite = 0
@@ -318,6 +319,32 @@ class TestFlatKernelMatchesComplexDD:
     def test_split_fallback_beyond_two_to_996(self, poly, z):
         # A factor above 2^996 takes the uncompensated product.
         assert assert_same_bits(poly, z) != "overflow"
+
+    @pytest.mark.parametrize("poly, z, guarded", [
+        # e(A) + bitlength(n) + n e(R) = 988 + 2 + 0: just inside 990
+        (MonicPolynomial((2.0 ** 987, 1.0)), complex(0.75, -0.5), False),
+        (MonicPolynomial((2.0 ** 988, 1.0)), complex(0.75, -0.5), True),
+        # |z| = 1.118 * 2^20, so 925 + 2 + 3 * 21 = 990 inside, 991 outside;
+        # the values reach about 2^964 and the derivatives 2^945
+        (MonicPolynomial((2.0 ** 924, complex(0, -3.0), 7.0)),
+         complex(2.0 ** 20, 2.0 ** 19), False),
+        (MonicPolynomial((2.0 ** 925, complex(0, -3.0), 7.0)),
+         complex(2.0 ** 20, 2.0 ** 19), True),
+    ])
+    def test_either_side_of_the_a_priori_bound(self, monkeypatch, poly, z,
+                                               guarded):
+        # Inside the bound the loop runs without the per-product guard,
+        # beyond it the guarded loop runs; both give the reference's bits.
+        calls = []
+        fallback = compensated._guarded_horner
+
+        def counting(coefficients, point):
+            calls.append(point)
+            return fallback(coefficients, point)
+
+        monkeypatch.setattr(compensated, "_guarded_horner", counting)
+        assert assert_same_bits(poly, z) != "overflow"
+        assert len(calls) == guarded
 
     def test_near_overflow_raises_from_both(self):
         # z^2 = 1e308 and a_2 = 1.7e308 are finite; only their sum overflows.
