@@ -7,7 +7,6 @@ usable pairs and honestly report n/a.
 """
 
 from multiroots import (
-    IterationTrace,
     RootSystem,
     SolveConfig,
     TraceRecord,
@@ -18,14 +17,14 @@ from multiroots import (
 
 
 def trace_from_errors(errors):
-    records = []
-    for k, e in enumerate(errors):
-        records.append(TraceRecord(
+    return tuple(
+        TraceRecord(
             k=k, values=(complex(e),), residuals=(abs(e),),
             steps=None if k == 0 else (abs(errors[k] - errors[k - 1]),),
             frozen=(False,),
-        ))
-    return IterationTrace(tuple(records))
+        )
+        for k, e in enumerate(errors)
+    )
 
 
 origin = RootSystem((0.0,), (1,))

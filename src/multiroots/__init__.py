@@ -20,31 +20,20 @@ from .errors import (
     SingularDenominatorError,
 )
 from .iteration import (
-    IterationTrace,
     SolveConfig,
     SolveReport,
     SolveStatus,
-    StepWorkspace,
     TraceRecord,
     UpdateMode,
-    build_step_workspace,
     ek_step,
     gek_step,
     q_log_derivative,
-    q_product,
     s_value,
     solve,
 )
-from .polynomial import MonicPolynomial, eval_with_derivative, integer_power
+from .polynomial import MonicPolynomial, eval_with_derivative
 from .rootsystem import RootSystem, poly_from_roots, separation
-from .theory import (
-    TheoremCheckResult,
-    TheoremConstants,
-    error_bound,
-    errors_against,
-    estimate_order,
-    theorem_check,
-)
+from .theory import TheoremCheckResult, error_bound, estimate_order, theorem_check
 
 __version__ = "0.1.0"
 
@@ -52,7 +41,6 @@ __all__ = [
     "CollisionError",
     "DegenerateSystemError",
     "InsufficientDataError",
-    "IterationTrace",
     "MonicPolynomial",
     "MultirootsError",
     "NonFiniteError",
@@ -62,22 +50,16 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "SolveStatus",
-    "StepWorkspace",
     "TheoremCheckResult",
-    "TheoremConstants",
     "TraceRecord",
     "UpdateMode",
-    "build_step_workspace",
     "ek_step",
     "error_bound",
-    "errors_against",
     "estimate_order",
     "eval_with_derivative",
     "gek_step",
-    "integer_power",
     "poly_from_roots",
     "q_log_derivative",
-    "q_product",
     "s_value",
     "separation",
     "solve",

@@ -133,8 +133,7 @@ def parse_config(data: dict, overrides: Optional[dict] = None) -> SolveConfig:
     merged = dict(data or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     known = {
-        "max_iterations", "step_tolerance", "residual_tolerance",
-        "collision_threshold", "update_mode",
+        "max_iterations", "step_tolerance", "residual_tolerance", "update_mode",
     }
     unknown = set(merged) - known
     if unknown:

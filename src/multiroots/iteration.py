@@ -26,15 +26,11 @@ from .polynomial import (
     integer_power,
     require_finite,
 )
-from .rootsystem import _as_multiplicity
+from .rootsystem import _as_multiplicity, _collision_limit
 
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_STEP_TOLERANCE = 1e-14
 DEFAULT_RESIDUAL_TOLERANCE = 1e-12
-#: Relative collision threshold: distances are compared against
-#: ``collision_threshold * max(1, max|x_i|)``.  Below that, (x_i - x_j)^-2
-#: carries no significance in binary64.
-DEFAULT_COLLISION_THRESHOLD = 1e-12
 
 #: A correction denominator with magnitude at or below
 #: ``1e-300 * max(1, alpha_i)`` is reported as singular.
@@ -72,10 +68,28 @@ class UpdateMode(enum.Enum):
 
 
 class SolveConfig(Record):
+    """Settings of one `solve` run, and of the steps it makes.
+
+    ``max_iterations`` (default 100) caps the number of sweeps.  A
+    component freezes once its residual |A(x_i)| is at or below
+    ``residual_tolerance`` (default 1e-12), and the run converges once
+    every component is frozen or the largest step is at or below
+    ``step_tolerance`` (default 1e-14).  ``update_mode`` (default
+    `UpdateMode.TOTAL_STEP`) selects the sweep order.
+
+    ValueError is raised for a ``max_iterations`` that is not an int
+    (bools, floats such as 3.0) or is below 1; for a tolerance that is a
+    bool, not above 0, or not a finite binary64 number (inf, nan,
+    10**400); and for an ``update_mode`` that is not an `UpdateMode`.
+
+    Collisions follow one fixed rule, not a setting: two approximations
+    within ``1e-12 * max(1, max|x_i|)`` of each other are one point in
+    binary64, and the run stops with `SolveStatus.COLLISION`.
+    """
+
     max_iterations: int
     step_tolerance: float
     residual_tolerance: float
-    collision_threshold: float
     update_mode: UpdateMode
 
     def __init__(
@@ -83,7 +97,6 @@ class SolveConfig(Record):
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         step_tolerance: float = DEFAULT_STEP_TOLERANCE,
         residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-        collision_threshold: float = DEFAULT_COLLISION_THRESHOLD,
         update_mode: UpdateMode = UpdateMode.TOTAL_STEP,
     ) -> None:
         if not isinstance(max_iterations, int) or isinstance(max_iterations, bool):
@@ -93,16 +106,15 @@ class SolveConfig(Record):
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name, value in (("step_tolerance", step_tolerance),
-                            ("residual_tolerance", residual_tolerance),
-                            ("collision_threshold", collision_threshold)):
-            if not (0.0 < value < math.inf and _is_positive_binary64(value)):
-                raise ValueError(f"{name} must be finite and > 0")
+                            ("residual_tolerance", residual_tolerance)):
+            if isinstance(value, bool) or not (
+                    0.0 < value < math.inf and _is_positive_binary64(value)):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if not isinstance(update_mode, UpdateMode):
             raise ValueError(f"update_mode must be an UpdateMode, got {update_mode!r}")
         set_field(self, "max_iterations", max_iterations)
         set_field(self, "step_tolerance", step_tolerance)
         set_field(self, "residual_tolerance", residual_tolerance)
-        set_field(self, "collision_threshold", collision_threshold)
         set_field(self, "update_mode", update_mode)
 
 
@@ -152,34 +164,21 @@ class TraceRecord(Record):
         set_field(self, "frozen", frozen)
 
 
-class IterationTrace(Record):
-    records: tuple[TraceRecord, ...]
-
-    def __init__(self, records: tuple[TraceRecord, ...] = ()) -> None:
-        set_field(self, "records", records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, k: int) -> TraceRecord:
-        return self.records[k]
-
-
 class SolveReport(Record):
+    """Outcome of `solve`: ``trace`` holds one `TraceRecord` per sweep,
+    the initial vector's record (k = 0) first."""
+
     status: SolveStatus
     final: tuple[complex, ...]
     iterations_used: int
-    trace: IterationTrace
+    trace: tuple[TraceRecord, ...]
 
     def __init__(
         self,
         status: SolveStatus,
         final: tuple[complex, ...],
         iterations_used: int,
-        trace: IterationTrace,
+        trace: tuple[TraceRecord, ...],
     ) -> None:
         set_field(self, "status", status)
         set_field(self, "final", final)
@@ -196,10 +195,6 @@ def _as_vector(values: Sequence[complex]) -> tuple[complex, ...]:
     for v in vec:
         require_finite(v, "approximation")
     return vec
-
-
-def _collision_limit(values: Sequence[complex], threshold: float) -> float:
-    return threshold * max(1.0, max(abs(v) for v in values))
 
 
 def _check_collisions(values, frozen, limit):
@@ -220,40 +215,38 @@ def q_log_derivative(
     values: Sequence[complex],
     multiplicities: Sequence[int],
     index: int,
-    *,
-    collision_threshold: float = DEFAULT_COLLISION_THRESHOLD,
 ) -> complex:
     """Logarithmic derivative of the deflating product at one index.
 
     Returns sum over j != index of alpha_j / (x_index - x_j); the empty
-    sum (single approximation) is 0.  The sum is reduced from the same row
-    of pair terms as `q_product`, so the powers (x_index - x_j)**alpha_j
-    are formed too, and NonFiniteError is raised where one of them
-    overflows binary64 (`build_step_workspace` and both steps raise there
-    as well).
+    sum (single approximation) is 0.  CollisionError is raised where two
+    approximations collide under the solver's fixed rule (within
+    ``1e-12 * max(1, max|x_i|)`` of each other).  The sum is reduced from
+    the same row of pair terms as `q_product`, so the powers
+    (x_index - x_j)**alpha_j are formed too, and NonFiniteError is raised
+    where one of them overflows binary64 (`build_step_workspace` and both
+    steps raise there as well).
     """
-    return _deflation(values, multiplicities, index, collision_threshold)[0]
+    return _deflation(values, multiplicities, index)[0]
 
 
 def q_product(
     values: Sequence[complex],
     multiplicities: Sequence[int],
     index: int,
-    *,
-    collision_threshold: float = DEFAULT_COLLISION_THRESHOLD,
 ) -> complex:
     """Deflating product prod_{l != index} (x_index - x_l)^alpha_l.
 
     The empty product (single approximation) is 1.
     """
-    prod = _deflation(values, multiplicities, index, collision_threshold)[1]
+    prod = _deflation(values, multiplicities, index)[1]
     return require_finite(prod, "deflating product")
 
 
-def _deflation(values, multiplicities, index, collision_threshold):
+def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
     vec = _as_vector(values)
-    limit = _collision_limit(vec, collision_threshold)
+    limit = _collision_limit(vec)
     return _reduce_row(_row(vec, multiplicities, index, limit))
 
 
@@ -264,22 +257,19 @@ def s_value(
     index: int,
     *,
     residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
-    collision_threshold: float = DEFAULT_COLLISION_THRESHOLD,
 ) -> complex:
     """Multiplicity-deflated logarithmic derivative A'/A - Q'/Q at one index.
 
     Undefined where the residual |A(x_index)| is at or below
     ``residual_tolerance``; such an index should be frozen by the caller
     (ResidualZeroError is raised to say so).  Q'/Q is `q_log_derivative`,
-    with its errors.
+    with its errors, collisions under the fixed rule among them.
     """
     vec = _as_vector(values)
     value, deriv = eval_with_derivative(poly, vec[index])
     if abs(value) <= residual_tolerance:
         raise ResidualZeroError(index, abs(value))
-    return deriv / value - q_log_derivative(
-        vec, multiplicities, index, collision_threshold=collision_threshold
-    )
+    return deriv / value - q_log_derivative(vec, multiplicities, index)
 
 
 class StepWorkspace(Record):
@@ -390,7 +380,7 @@ def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=No
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
     """
-    limit = _collision_limit(vec, cfg.collision_threshold)
+    limit = _collision_limit(vec)
     _check_collisions(vec, flags, limit)
     m = len(vec)
     a_vals: list[Optional[complex]] = [None] * m
@@ -626,7 +616,7 @@ def ek_step(
             f"{m} values for degree {poly.degree}"
         )
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
-    limit = _collision_limit(vec, cfg.collision_threshold)
+    limit = _collision_limit(vec)
     _check_collisions(vec, flags, limit)
 
     evals = [None] * m
@@ -635,7 +625,7 @@ def ek_step(
         for i in range(m):
             if flags[i]:
                 continue
-            lim = _collision_limit(current, cfg.collision_threshold)
+            lim = _collision_limit(current)
             # every w_j changes once a component moves: none is kept
             current[i] = _ek_update(poly, current, i, flags, lim, evals,
                                     [None] * m)
@@ -734,7 +724,7 @@ def solve(
             status=status,
             final=vec,
             iterations_used=iterations,
-            trace=IterationTrace(tuple(records)),
+            trace=tuple(records),
         )
 
     if all(frozen):

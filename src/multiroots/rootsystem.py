@@ -8,9 +8,11 @@ from ._record import Record, set_field
 from .errors import DegenerateSystemError
 from .polynomial import MonicPolynomial, is_finite
 
-#: Two roots closer than this (relative to the largest root magnitude) are
-#: rejected; near-coincident roots should be merged into one root of higher
-#: multiplicity by the caller.
+#: The one collision rule: two points closer than this, relative to
+#: ``max(1, max|x_i|)``, are one point in binary64, where (x_i - x_j)^-2
+#: carries no significance.  `RootSystem` rejects such roots (merge them into
+#: one root of higher multiplicity), and the solver stops with a collision
+#: when two approximations come this close.
 DISTINCTNESS_THRESHOLD = 1e-12
 
 
@@ -41,8 +43,7 @@ class RootSystem(Record):
         for a in mults:
             if a < 1:
                 raise ValueError(f"multiplicities must be positive, got {a}")
-        scale = max(1.0, max(abs(r) for r in roots))
-        limit = DISTINCTNESS_THRESHOLD * scale
+        limit = _collision_limit(roots)
         for i in range(len(roots)):
             for j in range(i):
                 if abs(roots[i] - roots[j]) <= limit:
@@ -62,6 +63,12 @@ class RootSystem(Record):
     def degree(self) -> int:
         """Degree of the associated polynomial (sum of multiplicities)."""
         return sum(self.multiplicities)
+
+
+def _collision_limit(values) -> float:
+    """``DISTINCTNESS_THRESHOLD * max(1, max|x_i|)``: two of ``values`` at
+    most this far apart collide."""
+    return DISTINCTNESS_THRESHOLD * max(1.0, max(abs(v) for v in values))
 
 
 def _as_multiplicity(a) -> int:

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from ._record import Record, set_field
 from .errors import DegenerateSystemError, InsufficientDataError
-from .iteration import IterationTrace
 from .rootsystem import RootSystem, separation
 
 #: Error pairs below 100 * eps * max(1, |root|) are saturated by rounding
@@ -174,16 +173,9 @@ def error_bound(c: float, q: float, k: int) -> float:
     return c * math.pow(q, exponent)
 
 
-def errors_against(trace: IterationTrace, roots: Sequence[complex]) -> list[list[float]]:
-    """Per-root error sequences e_i[k] = |x_i^[k] - x_i| along a trace."""
-    return [
-        [abs(rec.values[i] - roots[i]) for rec in trace]
-        for i in range(len(roots))
-    ]
-
-
-def estimate_order(trace: IterationTrace, true_roots: RootSystem) -> list[Optional[float]]:
-    """Empirical convergence order per root from an iteration trace.
+def estimate_order(trace: Sequence, true_roots: RootSystem) -> list[Optional[float]]:
+    """Empirical convergence order per root from an iteration trace: a
+    sequence of `TraceRecord`, such as `SolveReport.trace`.
 
     For each root the least-squares slope of log e_[k+1] against log e_k
     is fitted over consecutive pairs whose errors both exceed the rounding

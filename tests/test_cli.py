@@ -209,8 +209,10 @@ class TestSolveCommand:
         '"step_tolerance": 1e400',
         # 400-digit integers: Python ints below inf, beyond binary64
         *(pytest.param(f'"{name}": 1' + "0" * 400, id=f"{name}-400-digits")
-          for name in ("step_tolerance", "residual_tolerance",
-                       "collision_threshold")),
+          for name in ("step_tolerance", "residual_tolerance")),
+        # true > 0 holds in Python, yet a bool is no tolerance
+        '"step_tolerance": true',
+        '"residual_tolerance": true',
     ])
     def test_bad_config_exits_one(self, capsys, monkeypatch, config):
         doc = {k: v for k, v in DEMO_PROBLEM.items() if k != "config"}
@@ -219,6 +221,14 @@ class TestSolveCommand:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("input: bad config: ")
+
+    def test_collision_threshold_is_an_unknown_field(self, capsys, monkeypatch):
+        # collisions follow one fixed rule; no document can set it
+        doc = dict(DEMO_PROBLEM, config={"collision_threshold": 1e-12})
+        code, out, err = run_main(capsys, ["solve"], json.dumps(doc), monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input: unknown config fields ['collision_threshold']\n"
 
     def test_mode_flag_selects_serial(self, capsys, monkeypatch):
         code, out, _ = run_main(

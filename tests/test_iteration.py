@@ -15,19 +15,18 @@ from multiroots import (
     SolveConfig,
     SolveStatus,
     UpdateMode,
-    build_step_workspace,
     ek_step,
     eval_with_derivative,
     gek_step,
-    integer_power,
     poly_from_roots,
     q_log_derivative,
-    q_product,
     s_value,
     solve,
 )
 from multiroots import iteration
-from multiroots.polynomial import require_finite
+from multiroots.iteration import build_step_workspace, q_product
+from multiroots.polynomial import integer_power, require_finite
+from multiroots.rootsystem import _collision_limit
 from conftest import (
     DEMO_INITIAL,
     DEMO_K1_ROW,
@@ -116,7 +115,7 @@ class TestSValue:
 # pair terms and reduces it the same way, and must give the same bits.
 def _ref_q_log_derivative(values, multiplicities, index):
     vec = iteration._as_vector(values)
-    limit = iteration._collision_limit(vec, iteration.DEFAULT_COLLISION_THRESHOLD)
+    limit = _collision_limit(vec)
     total = complex(0.0)
     for j in range(len(vec)):
         if j == index:
@@ -132,7 +131,7 @@ def _ref_q_log_derivative(values, multiplicities, index):
 
 def _ref_q_product(values, multiplicities, index):
     vec = iteration._as_vector(values)
-    limit = iteration._collision_limit(vec, iteration.DEFAULT_COLLISION_THRESHOLD)
+    limit = _collision_limit(vec)
     prod = complex(1.0)
     for l in range(len(vec)):
         if l == index:
@@ -239,7 +238,6 @@ class TestSolveConfig:
         {"max_iterations": 0},
         {"step_tolerance": 0.0},
         {"residual_tolerance": -1.0},
-        {"collision_threshold": 0.0},
         {"update_mode": "total"},
         {"max_iterations": 2.5},
         {"max_iterations": 3.0},
@@ -248,10 +246,10 @@ class TestSolveConfig:
         {"step_tolerance": float("inf")},
         {"step_tolerance": float("nan")},
         {"residual_tolerance": float("inf")},
-        {"collision_threshold": float("inf")},
         {"step_tolerance": 10 ** 400},
         {"residual_tolerance": 10 ** 400},
-        {"collision_threshold": 10 ** 400},
+        {"step_tolerance": True},
+        {"residual_tolerance": True},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -426,14 +424,14 @@ def _ref_ek_update(poly, vec, index, flags, limit):
 def _ref_ek_step(poly, values, cfg, flags):
     vec = iteration._as_vector(values)
     m = len(vec)
-    limit = iteration._collision_limit(vec, cfg.collision_threshold)
+    limit = _collision_limit(vec)
     iteration._check_collisions(vec, flags, limit)
     if cfg.update_mode is UpdateMode.SERIAL:
         current = list(vec)
         for i in range(m):
             if flags[i]:
                 continue
-            lim = iteration._collision_limit(current, cfg.collision_threshold)
+            lim = _collision_limit(current)
             current[i] = _ref_ek_update(poly, current, i, flags, lim)
         return tuple(current)
     return tuple(
@@ -773,7 +771,7 @@ class TestSolve:
         cfg = SolveConfig(step_tolerance=1e-15, residual_tolerance=1e-26,
                           max_iterations=20)
         report = solve(demo_poly, DEMO_MULTS, DEMO_INITIAL, cfg)
-        for prev, cur in zip(report.trace, report.trace.records[1:]):
+        for prev, cur in zip(report.trace, report.trace[1:]):
             for i in range(3):
                 if prev.frozen[i]:
                     assert bits(cur.values[i]) == bits(prev.values[i])

@@ -6,14 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from multiroots import (
-    MonicPolynomial,
-    NonFiniteError,
-    eval_with_derivative,
-    integer_power,
-)
+from multiroots import MonicPolynomial, NonFiniteError, eval_with_derivative
 from multiroots import compensated
 from multiroots.compensated import _SPLIT_LIMIT, _SPLITTER
+from multiroots.polynomial import integer_power
 
 # Expansion of (x+2)^2 (x-1) (x-3)^3; every coefficient is an exact
 # integer, so evaluation at the integer roots must be exact as well.

@@ -12,12 +12,12 @@ from multiroots import (
     error_bound,
     eval_with_derivative,
     gek_step,
-    integer_power,
     poly_from_roots,
     q_log_derivative,
-    q_product,
     separation,
 )
+from multiroots.iteration import q_product
+from multiroots.polynomial import integer_power
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)

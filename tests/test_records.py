@@ -8,18 +8,14 @@ import pickle
 import pytest
 
 from multiroots import (
-    IterationTrace,
     MonicPolynomial,
     RootSystem,
     SolveConfig,
     SolveReport,
     SolveStatus,
-    StepWorkspace,
     TheoremCheckResult,
-    TheoremConstants,
     TraceRecord,
     UpdateMode,
-    build_step_workspace,
     poly_from_roots,
     solve,
     theorem_check,
@@ -32,15 +28,16 @@ from multiroots.cli import (
     ProblemSpec,
     parse_problem,
 )
+from multiroots.iteration import StepWorkspace, build_step_workspace
+from multiroots.theory import TheoremConstants
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 #: Every constructor's parameters, in order; all are positional-or-keyword.
 SIGNATURES = {
     SolveConfig: ["max_iterations", "step_tolerance", "residual_tolerance",
-                  "collision_threshold", "update_mode"],
+                  "update_mode"],
     TraceRecord: ["k", "values", "residuals", "steps", "frozen"],
-    IterationTrace: ["records"],
     SolveReport: ["status", "final", "iterations_used", "trace"],
     StepWorkspace: ["a_values", "a_primes", "q_log_derivatives", "s_values",
                     "q_products", "correction_sums"],
@@ -69,7 +66,6 @@ def one_of_each():
     return [
         SolveConfig(),
         report.trace[0],
-        report.trace,
         report,
         build_step_workspace(poly, DEMO_INITIAL, DEMO_MULTIPLICITIES),
         poly,
@@ -88,10 +84,9 @@ def test_constructor_parameters(cls):
 
 
 def test_construction_by_position_and_keyword():
-    assert SolveConfig(20, 1e-15, 1e-26, 1e-13, UpdateMode.SERIAL) == \
+    assert SolveConfig(20, 1e-15, 1e-26, UpdateMode.SERIAL) == \
         SolveConfig(max_iterations=20, step_tolerance=1e-15,
-                    residual_tolerance=1e-26, collision_threshold=1e-13,
-                    update_mode=UpdateMode.SERIAL)
+                    residual_tolerance=1e-26, update_mode=UpdateMode.SERIAL)
     assert MonicPolynomial((1, 2j)) == MonicPolynomial(low_coefficients=(1, 2j))
     assert RootSystem((1, 2j), (2, 1)) == \
         RootSystem(multiplicities=(2, 1), roots=(1, 2j))
@@ -104,11 +99,8 @@ def test_construction_by_position_and_keyword():
 def test_defaults():
     cfg = SolveConfig()
     assert (cfg.max_iterations, cfg.step_tolerance, cfg.residual_tolerance,
-            cfg.collision_threshold, cfg.update_mode) == \
-        (100, 1e-14, 1e-12, 1e-12, UpdateMode.TOTAL_STEP)
+            cfg.update_mode) == (100, 1e-14, 1e-12, UpdateMode.TOTAL_STEP)
     assert SolveConfig(max_iterations=5).step_tolerance == 1e-14
-    assert IterationTrace().records == ()
-    assert len(IterationTrace()) == 0
     consts = TheoremConstants(0.1, 0.5, 2.0, 6, 1.0, 2.0)
     assert TheoremCheckResult(consts, 0.1, (1.0,), True).reason is None
     spec = ProblemSpec(MonicPolynomial((1,)), (1,), (0.5,), SolveConfig())
@@ -165,7 +157,7 @@ def test_equality_and_hash():
 def test_repr():
     assert repr(SolveConfig()) == (
         "SolveConfig(max_iterations=100, step_tolerance=1e-14, "
-        "residual_tolerance=1e-12, collision_threshold=1e-12, "
+        "residual_tolerance=1e-12, "
         "update_mode=<UpdateMode.TOTAL_STEP: 'total'>)"
     )
     assert repr(MonicPolynomial((1, 2j))) == \
@@ -184,7 +176,7 @@ def test_repr():
     assert repr(report).startswith(
         "SolveReport(status=<SolveStatus.CONVERGED: 'Converged'>, "
         "final=((-2+0j), (1+0j), (3.000000000000001+0j)), iterations_used=3, "
-        "trace=IterationTrace(records=(TraceRecord(k=0, "
+        "trace=(TraceRecord(k=0, "
         "values=((-3+0j), (0.1+0j), (4+0j)), residuals=(864.0, 96.799941, "
         "108.0), steps=None, frozen=(False, False, False)), TraceRecord(k=1, "
     )

@@ -7,19 +7,17 @@ import pytest
 from multiroots import (
     DegenerateSystemError,
     InsufficientDataError,
-    IterationTrace,
     RootSystem,
     SolveConfig,
     SolveStatus,
     TraceRecord,
     error_bound,
-    errors_against,
     estimate_order,
     solve,
     theorem_check,
 )
 from multiroots.theory import MIN_USABLE_PAIRS, NOISE_FLOOR_FACTOR
-from conftest import DEMO_INITIAL, DEMO_MULTS, DEMO_ROOTS
+from conftest import DEMO_INITIAL, DEMO_MULTS
 
 
 def exact_guarantee_lhs(c: Fraction, d: Fraction, n: int):
@@ -34,17 +32,16 @@ def exact_guarantee_lhs(c: Fraction, d: Fraction, n: int):
 
 def synthetic_trace(errors, root=0.0):
     """Single-component trace whose k-th error is errors[k] exactly."""
-    records = []
-    for k, e in enumerate(errors):
-        value = complex(root + e)
-        records.append(TraceRecord(
+    return tuple(
+        TraceRecord(
             k=k,
-            values=(value,),
+            values=(complex(root + e),),
             residuals=(abs(e),),
             steps=None if k == 0 else (abs(errors[k] - errors[k - 1]),),
             frozen=(False,),
-        ))
-    return IterationTrace(tuple(records))
+        )
+        for k, e in enumerate(errors)
+    )
 
 
 class TestTheoremCheck:
@@ -193,11 +190,3 @@ class TestEstimateOrder:
         for order in orders:
             assert order is None or 3.5 <= order <= 4.5
         assert MIN_USABLE_PAIRS == 3
-
-    def test_errors_against_helper(self, demo_poly, demo_config):
-        report = solve(demo_poly, DEMO_MULTS, DEMO_INITIAL, demo_config)
-        errs = errors_against(report.trace, DEMO_ROOTS)
-        assert len(errs) == 3
-        assert errs[0][0] == pytest.approx(1.0)
-        assert errs[1][0] == pytest.approx(0.9)
-        assert all(e[-1] <= 1e-14 for e in errs)
