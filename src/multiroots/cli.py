@@ -65,6 +65,13 @@ DEMO_CONFIG = SolveConfig(
 )
 
 
+#: Largest multiplicity `solve` and `order` accept.  Compensated evaluation
+#: resolves |A(x)| only to about 2**-106 of sum |a_k| |x|**k, so a root of
+#: multiplicity alpha is located to a relative 2**(-106 / alpha) at best,
+#: which is worse than 1/2 once alpha > 106.
+_MAX_MULTIPLICITY = 106
+
+
 class ProblemSpecError(ValueError):
     """Malformed problem document."""
 
@@ -181,8 +188,17 @@ def _load_document(text: str) -> tuple[dict, tuple[int, ...], Optional[tuple[com
 
 
 def parse_problem(text: str, config_overrides: Optional[dict] = None) -> ProblemSpec:
-    """Parse a problem JSON document into a validated ProblemSpec."""
+    """Parse a problem JSON document into a validated ProblemSpec.
+
+    A multiplicity above 106 (`_MAX_MULTIPLICITY`) is rejected before anything
+    is expanded.
+    """
     data, mults, roots = _load_document(text)
+    if max(mults) > _MAX_MULTIPLICITY:
+        raise ProblemSpecError(
+            f"input: multiplicity {max(mults)} exceeds {_MAX_MULTIPLICITY}, "
+            f"beyond which no root can be located to a relative 1/2"
+        )
     if ("coefficients" in data) == (roots is not None):
         raise ProblemSpecError(
             "input: provide exactly one polynomial source, either "

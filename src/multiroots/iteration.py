@@ -55,12 +55,15 @@ class UpdateMode(enum.Enum):
     costs ``2a`` evaluations in TOTAL_STEP mode and ``3a - 1`` in SERIAL
     mode.
 
-    The deflation terms are kept across a sweep too.  A SERIAL sweep of
-    the generalized step forms the pair terms of every active row once;
-    after a component moves, only the ``2(m - 1)`` pairs in its row and
-    column are formed again, O(m) work per moved component instead of
-    O(a m).  A TOTAL_STEP sweep of the simple-root step forms each
-    neighbour product w_j once and shares it between all indices.
+    Both step kinds run on one deflation kernel (the simple-root step is
+    the generalized one's with every multiplicity 1), and one loop drives
+    the SERIAL sweeps of both.  Each build of the kernel checks every
+    pair for collisions and forms each active index's deflation sum and
+    product once, to be shared by every index that needs them.  The
+    kernel's pair terms are kept across a sweep too: a SERIAL sweep forms
+    the pair terms of every active row once; after a component moves,
+    only the ``2(m - 1)`` pairs in its row and column are formed again,
+    O(m) work per moved component instead of O(a m).
     """
 
     TOTAL_STEP = "total"
@@ -247,7 +250,13 @@ def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
     vec = _as_vector(values)
     limit = _collision_limit(vec)
-    return _reduce_row(_row(vec, multiplicities, index, limit))
+    x = vec[index]
+    for l, x_l in enumerate(vec):
+        if l != index and abs(x - x_l) <= limit:
+            raise CollisionError(
+                f"approximations {index} and {l} are within {limit:.3e}"
+            )
+    return _reduce_row(_row(vec, multiplicities, index))
 
 
 def s_value(
@@ -315,10 +324,12 @@ def build_step_workspace(
 ) -> StepWorkspace:
     """Evaluate every per-index quantity the generalized step needs.
 
-    Every active index is evaluated once.  With ``a`` active components
-    out of ``m``, one build forms the pair terms of ``a(m - 1)`` ordered
-    pairs, each with one ``integer_power`` call, plus one
-    ``integer_power`` call per correction-sum numerator.  Serial
+    The deflation terms come from the kernel both steps share: every
+    active index is evaluated once, and with ``a`` active components out
+    of ``m`` one build forms the pair terms of ``a(m - 1)`` ordered pairs.
+    A pair whose far end has multiplicity ``alpha_l > 1`` makes one
+    ``integer_power`` call; a simple one makes none.  One more
+    ``integer_power`` call goes to each correction-sum numerator.  Serial
     `gek_step` builds the same workspace once per sweep and then
     refreshes only the pairs of the component that moved.
     """
@@ -331,26 +342,18 @@ def build_step_workspace(
 
 def _pair_term(x_j, x_l, alpha_l):
     # The deflation terms of the ordered pair (j, l): with d = x_j - x_l,
-    # the log-derivative term alpha_l / d and the product factor d**alpha_l.
+    # the log-derivative term alpha_l / d and the product factor d**alpha_l,
+    # which is d itself for a simple root.
     d = x_j - x_l
-    return alpha_l / d, integer_power(d, alpha_l)
+    return alpha_l / d, d if alpha_l == 1 else integer_power(d, alpha_l)
 
 
-def _row(vec, multiplicities, j, limit):
+def _row(vec, multiplicities, j):
     # Row j of the pair-term table: the `_pair_term` of (j, l) for every
-    # l != j, in order of l.  The first pair within ``limit`` raises
-    # CollisionError before its terms are formed.
+    # l != j, in order of l.  Callers check the pairs for collisions first.
     x_j = vec[j]
-    row = []
-    for l in range(len(vec)):
-        if l != j:
-            x_l = vec[l]
-            if abs(x_j - x_l) <= limit:
-                raise CollisionError(
-                    f"approximations {j} and {l} are within {limit:.3e}"
-                )
-            row.append(_pair_term(x_j, x_l, multiplicities[l]))
-    return row
+    return [_pair_term(x_j, vec[l], multiplicities[l])
+            for l in range(len(vec)) if l != j]
 
 
 def _reduce_row(row):
@@ -363,52 +366,77 @@ def _reduce_row(row):
     return qlog, qprod
 
 
-def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
-    """The workspace at ``vec`` from a table of pair terms.
+def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
+    """The deflation kernel of both steps, at ``vec``.
 
-    The pairs are first checked for collisions, so `_row`'s own check
-    never fires here.  ``rows[j]`` is `_row` j of the table for an active
-    j.  With ``moved`` None every active row is built.  Otherwise the
-    table was filled at a vector that differs from ``vec`` in component
-    ``moved`` alone, and only row ``moved`` and column ``moved`` are
-    refreshed: at most ``2(m - 1)`` pair terms instead of ``a(m - 1)``
-    for ``a`` active rows.  Either way each active row is then reduced in
-    full, in order of l, so sums and products are rounded exactly as in a
-    full build.  Unchanged pair terms raised nothing when they were
-    formed, so errors come in the order of a full build too.
+    Returns, per index, None for a frozen one and ``(pair, qlog, qprod)``
+    for an active one: its (A, A') pair, the deflation sum
+    sum_{l != j} alpha_l / (x_j - x_l) and the deflating product
+    prod_{l != j} (x_j - x_l)**alpha_l.
+
+    The pairs are first checked for collisions.  ``rows[j]`` is `_row` j
+    of the table for an active j.  With ``moved`` None every active row is
+    built.  Otherwise the table was filled at a vector that differs from
+    ``vec`` in component ``moved`` alone, and only row ``moved`` and
+    column ``moved`` are refreshed: at most ``2(m - 1)`` pair terms
+    instead of ``a(m - 1)`` for ``a`` active rows.  Either way each active
+    row is then reduced in full, in order of l, so sums and products are
+    rounded exactly as in a full build.  Unchanged pair terms raised
+    nothing when they were formed, so errors come in the order of a full
+    build too.
 
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
     """
-    limit = _collision_limit(vec)
-    _check_collisions(vec, flags, limit)
+    _check_collisions(vec, flags, _collision_limit(vec))
+    kernel: list[Optional[tuple]] = [None] * len(vec)
+    for j in range(len(vec)):
+        if flags[j]:
+            continue
+        pair = evals[j]
+        if pair is None:
+            pair = evals[j] = eval_with_derivative(poly, vec[j])
+        if moved is None or moved == j:
+            row = rows[j] = _row(vec, multiplicities, j)
+        else:
+            row = rows[j]  # no entry for l == j, so l > j sits at l - 1
+            row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
+                                                  multiplicities[moved])
+        qlog, qprod = _reduce_row(row)
+        kernel[j] = pair, qlog, require_finite(qprod, "deflating product")
+    return kernel
+
+
+def _neighbour_sum(vec, i, terms):
+    # sum over the terms (j, numer, qprod_j, x_j) with j != i of
+    # numer / (qprod_j (x_j - x_i)**2): the correction sum of the
+    # generalized step and the neighbour sum of the simple-root step.
+    x_i = vec[i]
+    total = complex(0.0)
+    for j, numer, qprod, x_j in terms:
+        if j != i:
+            diff = x_j - x_i
+            total += numer / (qprod * diff * diff)
+    return total
+
+
+def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
+    # The workspace at ``vec``, from `_deflate` with the same arguments.
+    kernel = _deflate(poly, vec, multiplicities, flags, evals, rows, moved)
     m = len(vec)
     a_vals: list[Optional[complex]] = [None] * m
     a_primes: list[Optional[complex]] = [None] * m
     qlogs: list[Optional[complex]] = [None] * m
     svals: list[Optional[complex]] = [None] * m
     qprods: list[Optional[complex]] = [None] * m
-    for j in range(m):
-        if flags[j]:
+    for j, entry in enumerate(kernel):
+        if entry is None:
             continue
-        pair = evals[j]
-        if pair is None:
-            pair = evals[j] = eval_with_derivative(poly, vec[j])
-        value, deriv = pair
+        (value, deriv), qlogs[j], qprods[j] = entry
         a_vals[j] = value
         a_primes[j] = deriv
-        if moved is None or moved == j:
-            row = rows[j] = _row(vec, multiplicities, j, limit)
-        else:
-            row = rows[j]  # no entry for l == j, so l > j sits at l - 1
-            row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
-                                                  multiplicities[moved])
-        qlog, qprod = _reduce_row(row)
-        require_finite(qprod, "deflating product")
-        qlogs[j] = qlog
-        qprods[j] = qprod
         if abs(value) > cfg.residual_tolerance:
-            svals[j] = deriv / value - qlog
+            svals[j] = deriv / value - qlogs[j]
 
     # Numerators of the correction-sum terms depend on j alone.  A term is
     # only used by another active index, so none is formed unless at least
@@ -423,19 +451,11 @@ def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=No
             numer = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
             numerators.append((j, numer, qprods[j], vec[j]))
 
-    sums: list[Optional[complex]] = [None] * m
-    for i in range(m):
-        if flags[i]:
-            continue
-        x_i = vec[i]
-        total = complex(0.0)
-        for j, numer, qprod, x_j in numerators:
-            if j != i:
-                diff = x_j - x_i
-                total += numer / (qprod * diff * diff)
-        require_finite(total, "correction sum")
-        sums[i] = total
-
+    sums: list[Optional[complex]] = [
+        None if flags[i] else
+        require_finite(_neighbour_sum(vec, i, numerators), "correction sum")
+        for i in range(m)
+    ]
     return StepWorkspace(
         a_values=tuple(a_vals),
         a_primes=tuple(a_primes),
@@ -444,6 +464,30 @@ def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=No
         q_products=tuple(qprods),
         correction_sums=tuple(sums),
     )
+
+
+def _serial_sweep(vec, flags, prepare, update):
+    """One SERIAL sweep, driving either step kind.
+
+    Before each active component moves, ``prepare(current, evals, rows,
+    moved)`` forms the step's quantities at the current vector, reusing
+    the (A, A') pairs in ``evals`` and the pair-term table in ``rows``
+    (see `_deflate`); ``update(current, prepared, i)`` then returns the
+    new x_i.  Only the moved component is evaluated again.
+    """
+    m = len(vec)
+    current = list(vec)
+    evals = [None] * m
+    rows = [None] * m
+    moved = None
+    for i in range(m):
+        if flags[i]:
+            continue
+        prepared = prepare(current, evals, rows, moved)
+        current[i] = update(current, prepared, i)
+        evals[i] = None
+        moved = i
+    return tuple(current)
 
 
 def _gek_update(vec, multiplicities, workspace, index):
@@ -513,68 +557,25 @@ def gek_step(
     _validate_problem(poly, multiplicities, m)
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
 
+    def prepare(current, evals, rows, moved):
+        return _fill_workspace(poly, current, multiplicities, flags, cfg,
+                               evals, rows, moved)
+
+    def update(current, ws, i):
+        return _gek_update(current, multiplicities, ws, i)
+
     if cfg.update_mode is UpdateMode.SERIAL:
-        current = list(vec)
-        evals = [None] * m
-        rows = [None] * m
-        moved = None
-        for i in range(m):
-            if flags[i]:
-                continue
-            ws = _fill_workspace(poly, current, multiplicities, flags, cfg,
-                                 evals, rows, moved)
-            current[i] = _gek_update(current, multiplicities, ws, i)
-            evals[i] = None
-            moved = i
-        return tuple(current)
-
+        return _serial_sweep(vec, flags, prepare, update)
     ws = build_step_workspace(poly, vec, multiplicities, flags, cfg)
-    return tuple(
-        vec[i] if flags[i] else _gek_update(vec, multiplicities, ws, i)
-        for i in range(m)
-    )
+    return tuple(vec[i] if flags[i] else update(vec, ws, i) for i in range(m))
 
 
-def _evaluated(poly, vec, evals, j):
-    # The (A, A') pair at vec[j], evaluated on first use within a sweep.
-    if evals[j] is None:
-        evals[j] = eval_with_derivative(poly, vec[j])
-    return evals[j]
-
-
-def _deflating_product(vec, wprods, j):
-    # w_j = prod_{l != j} (x_j - x_l), formed on first use within a sweep.
-    if wprods[j] is None:
-        w_j = complex(1.0)
-        for l in range(len(vec)):
-            if l != j:
-                w_j *= vec[j] - vec[l]
-        wprods[j] = require_finite(w_j, "simple-root deflating product")
-    return wprods[j]
-
-
-def _ek_update(poly, vec, index, flags, limit, evals, wprods):
-    value, deriv = _evaluated(poly, vec, evals, index)
-    m = len(vec)
-    wlog = complex(0.0)
-    for l in range(m):
-        if l == index:
-            continue
-        diff = vec[index] - vec[l]
-        if abs(diff) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {l} are within {limit:.3e}"
-            )
-        wlog += 1.0 / diff
-    neighbor = complex(0.0)
-    for j in range(m):
-        if j == index or flags[j]:
-            continue
-        a_j, _ = _evaluated(poly, vec, evals, j)
-        w_j = _deflating_product(vec, wprods, j)
-        diff = vec[index] - vec[j]
-        neighbor += a_j / (w_j * diff * diff)
-    den = deriv - value * wlog + value * neighbor
+def _ek_update(vec, prepared, index):
+    # ``prepared`` is a `_deflate` result at ``vec`` and the neighbour-sum
+    # terms (j, A_j, w_j, x_j) of its active indices.
+    kernel, terms = prepared
+    (value, deriv), wlog, _ = kernel[index]
+    den = deriv - value * wlog + value * _neighbour_sum(vec, index, terms)
     if abs(den) <= SINGULAR_DENOMINATOR_FLOOR:
         raise SingularDenominatorError(
             f"denominator {abs(den):.3e} at index {index} is numerically zero"
@@ -596,16 +597,15 @@ def ek_step(
     polynomial degree.  With unit multiplicities this agrees with
     `gek_step` up to rounding.  Mode and freezing semantics match
     `gek_step`; an exact-root component is harmless here (its own
-    correction degenerates to Newton's and vanishes).  Each point is
-    evaluated once per sweep, on first use, and its pair is shared by
-    every update that needs it: ``a`` evaluations for ``a`` active
-    components in total-step mode, ``2a - 1`` in serial mode, where a
-    component is evaluated again only after it has moved.  Likewise each
-    neighbour product w_j = prod_{l != j} (x_j - x_l) is formed once per
-    total-step sweep, on first use, instead of once per index that needs
-    it: ``a`` products of ``m - 1`` factors instead of ``a(a - 1)``.  In
-    serial mode every w_j changes after each move, so each update forms
-    its own.
+    correction degenerates to Newton's and vanishes).  The step runs on
+    the deflation kernel of `gek_step` with every multiplicity 1, where
+    the deflation sum is sum_{l != j} 1 / (x_j - x_l) and the deflating
+    product w_j = prod_{l != j} (x_j - x_l); a simple pair makes no
+    ``integer_power`` call.  So evaluations, collision checks and the
+    pair-term table work as there: ``a`` evaluations for ``a`` active
+    components in total-step mode and ``2a - 1`` in serial mode, each w_j
+    formed once per build, and a serial sweep checking every pair before
+    each update and refreshing only the moved component's row and column.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
@@ -616,27 +616,18 @@ def ek_step(
             f"{m} values for degree {poly.degree}"
         )
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
-    limit = _collision_limit(vec)
-    _check_collisions(vec, flags, limit)
+    ones = (1,) * m
 
-    evals = [None] * m
+    def prepare(current, evals, rows, moved):
+        kernel = _deflate(poly, current, ones, flags, evals, rows, moved)
+        terms = [(j, entry[0][0], entry[2], current[j])
+                 for j, entry in enumerate(kernel) if entry is not None]
+        return kernel, terms
+
     if cfg.update_mode is UpdateMode.SERIAL:
-        current = list(vec)
-        for i in range(m):
-            if flags[i]:
-                continue
-            lim = _collision_limit(current)
-            # every w_j changes once a component moves: none is kept
-            current[i] = _ek_update(poly, current, i, flags, lim, evals,
-                                    [None] * m)
-            evals[i] = None
-        return tuple(current)
-
-    wprods = [None] * m
-    return tuple(
-        vec[i] if flags[i] else _ek_update(poly, vec, i, flags, limit, evals, wprods)
-        for i in range(m)
-    )
+        return _serial_sweep(vec, flags, prepare, _ek_update)
+    prepared = prepare(vec, [None] * m, [None] * m, None)
+    return tuple(vec[i] if flags[i] else _ek_update(vec, prepared, i) for i in range(m))
 
 
 def _validate_problem(poly, multiplicities, m):

@@ -196,6 +196,19 @@ class TestSolveCommand:
         assert out == ""
         assert err == "input: bad roots: expanded coefficient a_2 overflowed\n"
 
+    @pytest.mark.parametrize("alpha", [107, 10 ** 20])
+    def test_huge_multiplicity_exits_one_before_expanding(self, capsys, monkeypatch,
+                                                          alpha):
+        # Expanding (x - 1)**(10**20) would never finish; no root of
+        # multiplicity above 106 can be located to a relative 1/2 anyway.
+        doc = {"roots": [1, 2], "multiplicities": [alpha, 1], "initial": [0.9, 2.1]}
+        for command in ("solve", "order"):
+            code, out, err = run_main(capsys, [command], json.dumps(doc), monkeypatch)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == (f"input: multiplicity {alpha} exceeds 106, beyond which "
+                           f"no root can be located to a relative 1/2\n")
+
     def test_huge_initial_guesses_exit_three(self, capsys, monkeypatch):
         doc = {"roots": [1, -1], "multiplicities": [2, 1],
                "initial": [1e300, -1e300]}

@@ -119,6 +119,31 @@ RING_DIGESTS = {
         "5facc233ea47cc60fdc113dc7335fa2b56d0127d8c082dd4410b8e875517d1b9"),
 }
 
+#: kind -> (roots, multiplicities) of the real-root problems below; the
+#: generalized problem has simple roots next to multiple ones.
+SIGNED_ZERO_PROBLEMS = {
+    "gek": ((-2.0, -0.5, 1.0, 2.5), (2, 1, 1, 3)),
+    "ek": ((-2.0, -0.5, 1.0, 2.5, 4.0), (1, 1, 1, 1, 1)),
+}
+SIGNED_ZERO_OFFSETS = (0.09375, -0.078125, 0.0625, -0.046875, 0.03125)
+
+#: (kind, mode) -> digest of a real-root run whose starts have imaginary
+#: parts -0.0 and 0.0 in turn.  Only on such inputs does a simple root's
+#: product factor d differ in a bit from (1 + 0j) * d = integer_power(d, 1),
+#: so these runs pin that the results do not depend on which of the two
+#: the deflating product multiplies by.  Each run ends Converged after 2
+#: sweeps.
+SIGNED_ZERO_DIGESTS = {
+    ('gek', 'total'): (
+        "afc10a9ca39277f47c11bc275063882fc438611a8ae06d651f27f38a350cbf78"),
+    ('gek', 'serial'): (
+        "957388b8ae82a02025d3acc0eb7e2c0204ad37bf6fdf94e8f423dd0a7819da8c"),
+    ('ek', 'total'): (
+        "e93096f6f3dd2f40745a86cc2b5a8865280b40c228cc0b716905780f799108a4"),
+    ('ek', 'serial'): (
+        "1a8b819bcda9696ca4966a1732490e67d5eb5a46230ef5d7c8ca2ea93ab0c8bb"),
+}
+
 
 def test_demo_trace():
     poly = poly_from_roots(RootSystem(DEMO_ROOTS, DEMO_MULTS))
@@ -136,3 +161,15 @@ def test_ring_trace(c, kind, mode):
     cfg = SolveConfig(update_mode=UpdateMode(mode), **RING_CONFIG)
     report = solve(poly, mults, initial, cfg, use_simple_step=kind == "ek")
     assert trace_digest(report) == RING_DIGESTS[(c, kind, mode)]
+
+
+@pytest.mark.parametrize("kind", ["gek", "ek"])
+@pytest.mark.parametrize("mode", ["total", "serial"])
+def test_signed_zero_trace(kind, mode):
+    roots, mults = SIGNED_ZERO_PROBLEMS[kind]
+    poly = poly_from_roots(RootSystem(roots, mults))
+    initial = tuple(complex(r + offset, (-0.0, 0.0)[k % 2])
+                    for k, (r, offset) in enumerate(zip(roots, SIGNED_ZERO_OFFSETS)))
+    cfg = SolveConfig(update_mode=UpdateMode(mode), **RING_CONFIG)
+    report = solve(poly, mults, initial, cfg, use_simple_step=kind == "ek")
+    assert trace_digest(report) == SIGNED_ZERO_DIGESTS[(kind, mode)]

@@ -408,7 +408,7 @@ def _ref_ek_update(poly, vec, index, flags, limit):
         for l in range(m):
             if l != j:
                 w_j *= vec[j] - vec[l]
-        require_finite(w_j, "simple-root deflating product")
+        require_finite(w_j, "deflating product")
         diff = vec[index] - vec[j]
         neighbor += a_j / (w_j * diff * diff)
     den = deriv - value * wlog + value * neighbor
@@ -432,6 +432,7 @@ def _ref_ek_step(poly, values, cfg, flags):
             if flags[i]:
                 continue
             lim = _collision_limit(current)
+            iteration._check_collisions(current, flags, lim)
             current[i] = _ref_ek_update(poly, current, i, flags, lim)
         return tuple(current)
     return tuple(
@@ -540,17 +541,19 @@ class TestOneEvaluationPerPoint:
     def test_serial_collision_with_moved_component(self):
         # The start vector passes the collision check, but component 0's
         # update lands 4e-13 from component 2, so the check before the
-        # second build fires.
+        # second build (or the second simple-root update) fires.
         poly = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
         approx = (0.45 + 0.05j, 1.2 - 0.1j,
                   complex(-2.9302655233050627, -0.5782234153937388))
         flags = (False,) * 3
         gek_step(poly, approx, (1, 1, 1), SolveConfig(), flags)
-        cfg = SolveConfig(update_mode=UpdateMode.SERIAL)
-        got = _outcome(gek_step, poly, approx, (1, 1, 1), cfg, flags)
-        assert got == _outcome(_ref_gek_step, poly, approx, (1, 1, 1), cfg, flags)
-        assert got[0] == "CollisionError"
-        assert got[1].startswith("approximations 0 and 2 are within")
+        ek_step(poly, approx, SolveConfig(), flags)
+        kinds = _both_kinds(poly, approx, (1, 1, 1), flags, UpdateMode.SERIAL)
+        assert len(kinds) == 2
+        for got, want in kinds:
+            assert got == want
+            assert got[0] == "CollisionError"
+            assert got[1].startswith("approximations 0 and 2 are within")
 
     def test_serial_overflow_in_refreshed_row(self):
         # Component 2 is frozen about 5.09e7 away, just inside the range
@@ -588,14 +591,22 @@ class TestOneEvaluationPerPoint:
         monkeypatch.setattr(iteration, "integer_power", counting)
         gek_step(poly, approx, mults,
                  SolveConfig(update_mode=UpdateMode.SERIAL), frozen)
-        a = m - sum(frozen)
+        active = [i for i in range(m) if not frozen[i]]
+        a = len(active)
+
+        def row_powers(j):
+            # a pair (j, l) calls integer_power only for alpha_l > 1: a
+            # simple root's factor is the difference itself
+            return sum(mults[l] > 1 for l in range(m) if l != j)
+
         # The first build forms the pair terms of every active row; each
         # later one only those of the moved component's row and column:
-        # O(m) powers per moved component, not O(a m).  Every build also
+        # O(m) powers per moved component, not O(a m).  Every component
+        # but the last active one moves before a build.  Every build also
         # forms one correction-sum numerator per active index.
-        first_build = a * (m - 1)
-        refresh = (m - 1) + (a - 1)
-        assert len(calls) == first_build + (a - 1) * refresh + a * a
+        first_build = sum(row_powers(j) for j in active)
+        refresh = sum(row_powers(i) + (a - 1) * (mults[i] > 1) for i in active[:-1])
+        assert len(calls) == first_build + refresh + a * a
 
     @pytest.mark.parametrize("mode", list(UpdateMode))
     @pytest.mark.parametrize("frozen", [
