@@ -59,16 +59,17 @@ DEMO_CONFIG = SolveConfig(
     max_iterations=20,
     step_tolerance=1e-15,
     # Keep every component live through the shallow-residual phase near the
-    # multiple roots (compensated evaluation still resolves ~1e-23 there);
-    # freezing then catches the exact landings.
+    # multiple roots (the exact residual at the triple root is ~1.6e-23
+    # after two sweeps); freezing then catches the exact landings.
     residual_tolerance=1e-26,
 )
 
 
-#: Largest multiplicity `solve` and `order` accept.  Compensated evaluation
-#: resolves |A(x)| only to about 2**-106 of sum |a_k| |x|**k, so a root of
-#: multiplicity alpha is located to a relative 2**(-106 / alpha) at best,
-#: which is worse than 1/2 once alpha > 106.
+#: Largest multiplicity `solve` and `order` accept: an input bound, checked
+#: before anything is expanded.  Evaluation is exact, so it does not limit
+#: how closely a multiple root is found.  Rounded coefficients do: they move
+#: a root of multiplicity alpha by a relative 2**(-53 / alpha) or so, while
+#: exactly representable ones (as in the demo) move it not at all.
 _MAX_MULTIPLICITY = 106
 
 

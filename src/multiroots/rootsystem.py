@@ -6,7 +6,7 @@ import operator
 
 from ._record import Record, set_field
 from .errors import DegenerateSystemError
-from .polynomial import MonicPolynomial, is_finite
+from .polynomial import MonicPolynomial, dyadic_integers, is_finite
 
 #: The one collision rule: two points closer than this, relative to
 #: ``max(1, max|x_i|)``, are one point in binary64, where (x_i - x_j)^-2
@@ -91,9 +91,7 @@ def poly_from_roots(rs: RootSystem) -> MonicPolynomial:
     which CPython rounds correctly (the signed zero of an underflow
     included).  Raises ValueError when a coefficient overflows.
     """
-    ratios = [p.as_integer_ratio() for r in rs.roots for p in (r.real, r.imag)]
-    e = max(d.bit_length() for _, d in ratios) - 1
-    scaled = [n * ((1 << e) // d) for n, d in ratios]
+    e, scaled = dyadic_integers([p for r in rs.roots for p in (r.real, r.imag)])
     factors = [(xr, xi) for xr, xi, mult in
                zip(scaled[0::2], scaled[1::2], rs.multiplicities)
                for _ in range(mult)]

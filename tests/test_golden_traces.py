@@ -8,6 +8,16 @@ products of the simple-root step were introduced, so they pin that
 those changes, and any later one made for speed, keep the arithmetic
 unchanged.  A change that alters the rounding on purpose must update
 the digest here and say why.
+
+Re-pinned once since: the demo digest, the six generalized-step ring
+digests and the two generalized-step signed-zero digests moved when
+`eval_with_derivative` became exact (each part of A and A' rounded once
+from the exact value, where the compensated kernel kept about 106 bits).
+Residual bits near the multiple roots changed, and the demo and the
+serial signed-zero run now land exactly on their roots; every status and
+sweep count stayed the same.  An exactly zero part of A or A' now comes
+back as +0.0; the signed zeros of those runs' iterates did not change.
+The simple-step digests did not move.
 """
 
 import cmath
@@ -87,32 +97,32 @@ def trace_digest(report):
 
 
 #: Digest of the demo run, as `multiroots demo` makes it.
-DEMO_DIGEST = "424172682cf607d6ea53267b14e68c957b18e569ce976c9f4a5a1df6ac4b2d94"
+DEMO_DIGEST = "12fc862a1d67e6cc46925a60b4c058d244ad85c7aa3caeddb32bae65d0a07023"
 
 #: (c, kind, mode) -> digest.  m = 3c; "gek" is the generalized step with
 #: multiplicities (2, 3, 1) from the inner ring out, "ek" the simple-root
 #: step on all-simple rings.  Every run ends Converged after 2-3 sweeps.
 RING_DIGESTS = {
     (1, 'gek', 'total'): (
-        "ced2b2edf76867fa7c57213fc1f1fa77a82233bf8644e6313aa074efc52466f3"),
+        "bd62028b99d66e7ae0760ccbdd141a3d8bb9fe7aec9b747dbb951902986be5bb"),
     (1, 'gek', 'serial'): (
-        "13af063e4e8a24a21b0bdc97321f367f9930df5331e1d0f9db9344bdbff4d29e"),
+        "afc9ff94bc44b3d9f7f3bfb0e69769f94a40d6a195c8000deb2477f57b97e874"),
     (1, 'ek', 'total'): (
         "8f1def4b0abd4c6a90e29b3c66d3b27add5b43a2ab2e61571ecef609237ed79c"),
     (1, 'ek', 'serial'): (
         "4731b03b3d803534b52aef19940dc62847b005ee1fcdeacea5f987d21b7967d7"),
     (4, 'gek', 'total'): (
-        "bf3142a6f9327c89fe36bfbdb6f1d42418ea21c80c97cc7afee855a702b187b2"),
+        "a44edbd5493108f23952e57934db0a30fb6255a1a8bd04397bfa502739eae64b"),
     (4, 'gek', 'serial'): (
-        "17ad0565165f2b1d02751e513f47a336c8e83c1dfdce15fbea7a37c6619d8943"),
+        "6d0b91919f0440c3d32621b1a4b140314011a2971b052b07ce1ec550081147b8"),
     (4, 'ek', 'total'): (
         "7c7ec8365f489bff61708334675949a8acb0b1a8d8cf76ff5461691e9bd23c7b"),
     (4, 'ek', 'serial'): (
         "7588e3b9ae34384342d36cc57950e5e3fc86649abf0359ebfa687e93320e9df8"),
     (6, 'gek', 'total'): (
-        "0d2076565738647f916218d0944b1165e8d3f41fe1442a28cd54c3dd578eee36"),
+        "2425912a78994d7ce6d90136317eabf5e04116ba43b70fc26a59787b3ccf21c9"),
     (6, 'gek', 'serial'): (
-        "452580db891be9de3696a2a5985be2c4768bb5e03d29397c9f8cbb311144e8b6"),
+        "1e9225fb9698307895e74b656087f0b3eb5c5565c1c2f1533c3340fc1520a743"),
     (6, 'ek', 'total'): (
         "e162a0f884d18112d781737adee888d7f471504c68007bc492385f4634c423f0"),
     (6, 'ek', 'serial'): (
@@ -135,9 +145,9 @@ SIGNED_ZERO_OFFSETS = (0.09375, -0.078125, 0.0625, -0.046875, 0.03125)
 #: sweeps.
 SIGNED_ZERO_DIGESTS = {
     ('gek', 'total'): (
-        "afc10a9ca39277f47c11bc275063882fc438611a8ae06d651f27f38a350cbf78"),
+        "ae30fab94a5f434927f835fd99885aca7283f6393f3804bd47c7ce5c081d5740"),
     ('gek', 'serial'): (
-        "957388b8ae82a02025d3acc0eb7e2c0204ad37bf6fdf94e8f423dd0a7819da8c"),
+        "37a99487d1352fe9ba4c7eb4e47d3a881098fcdb8a5650ca9bdf548d955d6f8c"),
     ('ek', 'total'): (
         "e93096f6f3dd2f40745a86cc2b5a8865280b40c228cc0b716905780f799108a4"),
     ('ek', 'serial'): (

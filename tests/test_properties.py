@@ -80,10 +80,11 @@ def test_derivative_agrees_with_central_difference(poly, z):
 def test_expanded_polynomial_vanishes_at_roots(rs):
     # The root is exact and each coefficient is the exact one rounded once
     # (an error of at most 2**-53 |a_k|), so |A(x)| <= 2**-53 times the
-    # condition sum sum_k |a_k| |x|**(n - k); the compensated evaluation
-    # adds about 2**-106 of that sum.  The bound allows twice as much.
-    # Below the normal range a rounding errs by up to 2**-1075 absolute
-    # instead, in the coefficients and in the evaluation's products alike;
+    # condition sum sum_k |a_k| |x|**(n - k); the exact evaluation adds one
+    # rounding of the value, and at most n 2**-110 of that sum where it
+    # evaluates at a grid point x' within 2**-110 |x| of x.  The bound
+    # allows about twice as much.  Below the normal range a rounding errs by up to
+    # 2**-1075 absolute instead, in the coefficients and in the value alike;
     # the second term allows 4n errors of 2**-1074 at each power of |x|.
     poly = poly_from_roots(rs)
     coeffs = (1.0,) + poly.low_coefficients

@@ -173,9 +173,10 @@ def test_repr():
         "reason=None)"
     )
     report = demo_report()
+    # Exact evaluation lands the demo on its roots exactly.
     assert repr(report).startswith(
         "SolveReport(status=<SolveStatus.CONVERGED: 'Converged'>, "
-        "final=((-2+0j), (1+0j), (3.000000000000001+0j)), iterations_used=3, "
+        "final=((-2+0j), (1+0j), (3+0j)), iterations_used=3, "
         "trace=(TraceRecord(k=0, "
         "values=((-3+0j), (0.1+0j), (4+0j)), residuals=(864.0, 96.799941, "
         "108.0), steps=None, frozen=(False, False, False)), TraceRecord(k=1, "
