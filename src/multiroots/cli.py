@@ -32,7 +32,7 @@ from .iteration import (
     UpdateMode,
     solve,
 )
-from .polynomial import MonicPolynomial
+from .polynomial import MonicPolynomial, is_finite
 from .rootsystem import RootSystem, poly_from_roots
 from .theory import TheoremCheckResult, estimate_order, theorem_check
 
@@ -107,15 +107,19 @@ def _is_number(obj) -> bool:
 
 def _as_complex(obj, what: str) -> complex:
     if _is_number(obj):
-        value = complex(float(obj), 0.0)
+        parts = (obj, 0.0)
     elif isinstance(obj, list) and len(obj) == 2 and all(map(_is_number, obj)):
-        value = complex(float(obj[0]), float(obj[1]))
+        parts = obj
     else:
         raise ProblemSpecError(
             f"input: {what} must be a number or a two-element [re, im] array, "
             f"got {obj!r}"
         )
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    try:
+        value = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an int beyond binary64's range, such as 10**400
+        value = None
+    if value is None or not is_finite(value):
         raise ProblemSpecError(f"input: {what} must be finite, got {obj!r}")
     return value
 
@@ -198,7 +202,7 @@ def parse_problem(text: str, config_overrides: Optional[dict] = None) -> Problem
     if max(mults) > _MAX_MULTIPLICITY:
         raise ProblemSpecError(
             f"input: multiplicity {max(mults)} exceeds {_MAX_MULTIPLICITY}, "
-            f"beyond which no root can be located to a relative 1/2"
+            f"the input bound checked before the polynomial is expanded"
         )
     if ("coefficients" in data) == (roots is not None):
         raise ProblemSpecError(

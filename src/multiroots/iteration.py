@@ -59,11 +59,13 @@ class UpdateMode(enum.Enum):
     the generalized one's with every multiplicity 1), and one loop drives
     the SERIAL sweeps of both.  Each build of the kernel checks every
     pair for collisions and forms each active index's deflation sum and
-    product once, to be shared by every index that needs them.  The
-    kernel's pair terms are kept across a sweep too: a SERIAL sweep forms
-    the pair terms of every active row once; after a component moves,
-    only the ``2(m - 1)`` pairs in its row and column are formed again,
-    O(m) work per moved component instead of O(a m).
+    product once, to be shared by every index that needs them; the
+    generalized step keeps only each index's s-value and correction sum
+    from it (see `build_step_workspace`).  The kernel's pair terms are
+    kept across a sweep too: a SERIAL sweep forms the pair terms of every
+    active row once; after a component moves, only the ``2(m - 1)`` pairs
+    in its row and column are formed again, O(m) work per moved component
+    instead of O(a m).
     """
 
     TOTAL_STEP = "total"
@@ -224,11 +226,12 @@ def q_log_derivative(
     Returns sum over j != index of alpha_j / (x_index - x_j); the empty
     sum (single approximation) is 0.  CollisionError is raised where two
     approximations collide under the solver's fixed rule (within
-    ``1e-12 * max(1, max|x_i|)`` of each other).  The sum is reduced from
-    the same row of pair terms as `q_product`, so the powers
-    (x_index - x_j)**alpha_j are formed too, and NonFiniteError is raised
-    where one of them overflows binary64 (`build_step_workspace` and both
-    steps raise there as well).
+    ``1e-12 * max(1, max|x_i|)`` of each other), with the solver's message:
+    the pairs that involve ``index`` go through the solver's own scan.
+    The sum is reduced from the same row of pair terms as `q_product`, so
+    the powers (x_index - x_j)**alpha_j are formed too, and NonFiniteError
+    is raised where one of them overflows binary64 (both steps raise there
+    as well).
     """
     return _deflation(values, multiplicities, index)[0]
 
@@ -248,14 +251,11 @@ def q_product(
 
 def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
+    # Only pairs that involve ``index`` are checked, by the solver's scan
+    # with every other index marked frozen.
     vec = _as_vector(values)
-    limit = _collision_limit(vec)
-    x = vec[index]
-    for l, x_l in enumerate(vec):
-        if l != index and abs(x - x_l) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {l} are within {limit:.3e}"
-            )
+    others_frozen = [l != index for l in range(len(vec))]
+    _check_collisions(vec, others_frozen, _collision_limit(vec))
     return _reduce_row(_row(vec, multiplicities, index))
 
 
@@ -281,48 +281,22 @@ def s_value(
     return deriv / value - q_log_derivative(vec, multiplicities, index)
 
 
-class StepWorkspace(Record):
-    """Per-index quantities for one total-step sweep.
-
-    Frozen indices carry None in every slot.  ``s_values`` additionally
-    holds None for an index whose residual is at or below the residual
-    tolerance (an exact landing not yet frozen by the caller): its own
-    update is impossible, and its contribution to other indices'
-    correction sums is the analytic limit 0.
-    """
-
-    a_values: tuple[Optional[complex], ...]
-    a_primes: tuple[Optional[complex], ...]
-    q_log_derivatives: tuple[Optional[complex], ...]
-    s_values: tuple[Optional[complex], ...]
-    q_products: tuple[Optional[complex], ...]
-    correction_sums: tuple[Optional[complex], ...]
-
-    def __init__(
-        self,
-        a_values: tuple[Optional[complex], ...],
-        a_primes: tuple[Optional[complex], ...],
-        q_log_derivatives: tuple[Optional[complex], ...],
-        s_values: tuple[Optional[complex], ...],
-        q_products: tuple[Optional[complex], ...],
-        correction_sums: tuple[Optional[complex], ...],
-    ) -> None:
-        set_field(self, "a_values", a_values)
-        set_field(self, "a_primes", a_primes)
-        set_field(self, "q_log_derivatives", q_log_derivatives)
-        set_field(self, "s_values", s_values)
-        set_field(self, "q_products", q_products)
-        set_field(self, "correction_sums", correction_sums)
-
-
 def build_step_workspace(
     poly: MonicPolynomial,
     values: Sequence[complex],
     multiplicities: Sequence[int],
     frozen: Optional[Sequence[bool]] = None,
     config: Optional[SolveConfig] = None,
-) -> StepWorkspace:
-    """Evaluate every per-index quantity the generalized step needs.
+) -> tuple[list[Optional[complex]], list[Optional[complex]]]:
+    """The two per-index quantities the generalized update reads.
+
+    Returns ``(s_values, correction_sums)``, two lists indexed like
+    ``values``: the deflated logarithmic derivative s_j (`s_value`) and
+    the correction sum of each index.  A frozen index carries None in
+    both.  An index whose residual is at or below the residual tolerance
+    (an exact landing not yet frozen by the caller) carries an s-value of
+    None: its own update is impossible, and its term in other indices'
+    correction sums is the analytic limit 0.
 
     The deflation terms come from the kernel both steps share: every
     active index is evaluated once, and with ``a`` active components out
@@ -330,14 +304,14 @@ def build_step_workspace(
     A pair whose far end has multiplicity ``alpha_l > 1`` makes one
     ``integer_power`` call; a simple one makes none.  One more
     ``integer_power`` call goes to each correction-sum numerator.  Serial
-    `gek_step` builds the same workspace once per sweep and then
+    `gek_step` forms the same pair terms once per sweep and then
     refreshes only the pairs of the component that moved.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
     m = len(vec)
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
-    return _fill_workspace(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
+    return _gek_terms(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
 
 
 def _pair_term(x_j, x_l, alpha_l):
@@ -420,50 +394,34 @@ def _neighbour_sum(vec, i, terms):
     return total
 
 
-def _fill_workspace(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
-    # The workspace at ``vec``, from `_deflate` with the same arguments.
+def _gek_terms(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
+    # `build_step_workspace`'s pair at ``vec``, from `_deflate` with the
+    # same arguments.  Numerators of the correction-sum terms depend on j
+    # alone.  A term is only used by another active index, so none is
+    # formed unless at least two indices are active; a landed or frozen
+    # index's term has the analytic limit 0.
     kernel = _deflate(poly, vec, multiplicities, flags, evals, rows, moved)
     m = len(vec)
-    a_vals: list[Optional[complex]] = [None] * m
-    a_primes: list[Optional[complex]] = [None] * m
-    qlogs: list[Optional[complex]] = [None] * m
+    two_active = m - sum(flags) >= 2
     svals: list[Optional[complex]] = [None] * m
-    qprods: list[Optional[complex]] = [None] * m
+    numerators = []
     for j, entry in enumerate(kernel):
         if entry is None:
             continue
-        (value, deriv), qlogs[j], qprods[j] = entry
-        a_vals[j] = value
-        a_primes[j] = deriv
-        if abs(value) > cfg.residual_tolerance:
-            svals[j] = deriv / value - qlogs[j]
-
-    # Numerators of the correction-sum terms depend on j alone.  A term is
-    # only used by another active index, so none is formed unless at least
-    # two indices are active; a landed or frozen index's term has the
-    # analytic limit 0.
-    numerators = []
-    if m - sum(flags) >= 2:
-        for j in range(m):
-            if svals[j] is None:
-                continue
+        (value, deriv), qlog, qprod = entry
+        if abs(value) <= cfg.residual_tolerance:
+            continue
+        s_j = svals[j] = deriv / value - qlog
+        if two_active:
             alpha_j = multiplicities[j]
-            numer = alpha_j * a_vals[j] * integer_power(svals[j] / alpha_j, alpha_j - 1)
-            numerators.append((j, numer, qprods[j], vec[j]))
-
+            numer = alpha_j * value * integer_power(s_j / alpha_j, alpha_j - 1)
+            numerators.append((j, numer, qprod, vec[j]))
     sums: list[Optional[complex]] = [
         None if flags[i] else
         require_finite(_neighbour_sum(vec, i, numerators), "correction sum")
         for i in range(m)
     ]
-    return StepWorkspace(
-        a_values=tuple(a_vals),
-        a_primes=tuple(a_primes),
-        q_log_derivatives=tuple(qlogs),
-        s_values=tuple(svals),
-        q_products=tuple(qprods),
-        correction_sums=tuple(sums),
-    )
+    return svals, sums
 
 
 def _serial_sweep(vec, flags, prepare, update):
@@ -490,12 +448,14 @@ def _serial_sweep(vec, flags, prepare, update):
     return tuple(current)
 
 
-def _gek_update(vec, multiplicities, workspace, index):
-    s_i = workspace.s_values[index]
+def _gek_update(vec, multiplicities, prepared, index):
+    # ``prepared`` is a `build_step_workspace` pair at ``vec``.
+    s_values, correction_sums = prepared
+    s_i = s_values[index]
     if s_i is None:
         raise ResidualZeroError(index, 0.0)
     alpha_i = multiplicities[index]
-    den = s_i + workspace.correction_sums[index]
+    den = s_i + correction_sums[index]
     if abs(den) <= SINGULAR_DENOMINATOR_FLOOR * max(1.0, alpha_i):
         raise SingularDenominatorError(
             f"denominator {abs(den):.3e} at index {index} is numerically zero"
@@ -516,16 +476,18 @@ def gek_step(
 
     Each component moves by `alpha_i` over the deflated logarithmic
     derivative corrected with the neighbor sum; frozen components are
-    copied through bitwise unchanged.  Each point is evaluated once per
-    sweep: ``a`` evaluations for ``a`` active components in total-step
-    mode, ``2a - 1`` in serial mode, where only the component that just
-    moved is evaluated again before the workspace is rebuilt.  A serial
-    sweep keeps a table of pair terms (alpha_l / (x_j - x_l) and
-    (x_j - x_l)**alpha_l): the first workspace forms ``a(m - 1)`` of them,
-    and each later one refreshes only the ``(m - 1) + (a - 1)`` pairs of
-    the moved component's row and column, then reduces every row again in
-    the order of a full build.  Results and errors are bitwise those of
-    rebuilding the workspace from scratch.
+    copied through bitwise unchanged.  Each update reads two per-index
+    quantities, the s-values and correction sums of
+    `build_step_workspace`.  Each point is evaluated once per sweep: ``a``
+    evaluations for ``a`` active components in total-step mode, ``2a - 1``
+    in serial mode, where only the component that just moved is evaluated
+    again before the next build.  A serial sweep keeps a table of pair
+    terms (alpha_l / (x_j - x_l) and (x_j - x_l)**alpha_l): the first build
+    forms ``a(m - 1)`` of them, and each later one refreshes only the
+    ``(m - 1) + (a - 1)`` pairs of the moved component's row and column,
+    then reduces every row again in the order of a full build.  Results
+    and errors are bitwise those of building from scratch before each
+    update.
 
     Parameters
     ----------
@@ -558,16 +520,16 @@ def gek_step(
     flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
 
     def prepare(current, evals, rows, moved):
-        return _fill_workspace(poly, current, multiplicities, flags, cfg,
-                               evals, rows, moved)
+        return _gek_terms(poly, current, multiplicities, flags, cfg,
+                          evals, rows, moved)
 
-    def update(current, ws, i):
-        return _gek_update(current, multiplicities, ws, i)
+    def update(current, prepared, i):
+        return _gek_update(current, multiplicities, prepared, i)
 
     if cfg.update_mode is UpdateMode.SERIAL:
         return _serial_sweep(vec, flags, prepare, update)
-    ws = build_step_workspace(poly, vec, multiplicities, flags, cfg)
-    return tuple(vec[i] if flags[i] else update(vec, ws, i) for i in range(m))
+    prepared = build_step_workspace(poly, vec, multiplicities, flags, cfg)
+    return tuple(vec[i] if flags[i] else update(vec, prepared, i) for i in range(m))
 
 
 def _ek_update(vec, prepared, index):

@@ -71,6 +71,13 @@ class TestParseProblem:
         (lambda d: d.update(multiplicities=[2, 1, 0]), "positive"),
         (lambda d: d.update(initial=[[0, 0]]), "initial"),
         (lambda d: d.update(config={"bogus": 1}), "config"),
+        # integers beyond binary64's range, which float() cannot convert
+        (lambda d: d.update(roots=[10 ** 400, [1, 0], [3, 0]]),
+         r"roots\[0\] must be finite"),
+        (lambda d: d.update(initial=[[-3, 0], [0.1, -10 ** 400], [4, 0]]),
+         r"initial\[1\] must be finite"),
+        (lambda d: (d.pop("roots"), d.update(coefficients=[0, 10 ** 400, 0, 0, 0, 0])),
+         r"coefficients\[1\] must be finite"),
     ])
     def test_malformed_documents_rejected(self, mutate, fragment):
         from multiroots.cli import ProblemSpecError
@@ -199,15 +206,25 @@ class TestSolveCommand:
     @pytest.mark.parametrize("alpha", [107, 10 ** 20])
     def test_huge_multiplicity_exits_one_before_expanding(self, capsys, monkeypatch,
                                                           alpha):
-        # Expanding (x - 1)**(10**20) would never finish; no root of
-        # multiplicity above 106 can be located to a relative 1/2 anyway.
+        # Expanding (x - 1)**(10**20) would never finish, so the bound on
+        # multiplicities is checked first.
         doc = {"roots": [1, 2], "multiplicities": [alpha, 1], "initial": [0.9, 2.1]}
         for command in ("solve", "order"):
             code, out, err = run_main(capsys, [command], json.dumps(doc), monkeypatch)
             assert code == EXIT_INPUT
             assert out == ""
-            assert err == (f"input: multiplicity {alpha} exceeds 106, beyond which "
-                           f"no root can be located to a relative 1/2\n")
+            assert err == (f"input: multiplicity {alpha} exceeds 106, the input "
+                           f"bound checked before the polynomial is expanded\n")
+
+    def test_integer_beyond_binary64_exits_one(self, capsys, monkeypatch):
+        big = 10 ** 400
+        doc = {"roots": [big, 2], "multiplicities": [1, 1], "initial": [0.9, 2.1]}
+        for argv in (["solve"], ["order"],
+                     ["check-theorem", "--c", "0.1", "--q", "0.5"]):
+            code, out, err = run_main(capsys, argv, json.dumps(doc), monkeypatch)
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert err == f"input: roots[0] must be finite, got {big}\n"
 
     def test_huge_initial_guesses_exit_three(self, capsys, monkeypatch):
         doc = {"roots": [1, -1], "multiplicities": [2, 1],

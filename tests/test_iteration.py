@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 
@@ -111,8 +112,17 @@ class TestSValue:
 
 
 # The loops the deflation helpers used to carry, kept as a test-local
-# reference: the library now forms the helpers' row with the workspace's
-# pair terms and reduces it the same way, and must give the same bits.
+# reference: the library now forms the helpers' row with the steps' pair
+# terms and reduces it the same way, and must give the same bits.  A
+# collision raises the solver's message, which names the lower index first.
+def _ref_collision(vec, a, b, limit):
+    j, i = sorted((a, b))
+    return CollisionError(
+        f"approximations {j} and {i} are within {limit:.3e} "
+        f"of each other: {vec[j]!r} ~ {vec[i]!r}"
+    )
+
+
 def _ref_q_log_derivative(values, multiplicities, index):
     vec = iteration._as_vector(values)
     limit = _collision_limit(vec)
@@ -122,9 +132,7 @@ def _ref_q_log_derivative(values, multiplicities, index):
             continue
         diff = vec[index] - vec[j]
         if abs(diff) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {j} are within {limit:.3e}"
-            )
+            raise _ref_collision(vec, index, j, limit)
         total += multiplicities[j] / diff
     return total
 
@@ -138,9 +146,7 @@ def _ref_q_product(values, multiplicities, index):
             continue
         diff = vec[index] - vec[l]
         if abs(diff) <= limit:
-            raise CollisionError(
-                f"approximations {index} and {l} are within {limit:.3e}"
-            )
+            raise _ref_collision(vec, index, l, limit)
         prod *= integer_power(diff, multiplicities[l])
     require_finite(prod, "deflating product")
     return prod
@@ -196,34 +202,30 @@ class TestDeflationHelpersKeepTheirBits:
                 call()
 
 
+def _finite(z):
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 class TestStepWorkspace:
     def test_frozen_slots_carry_none(self, demo_poly):
-        ws = build_step_workspace(demo_poly, (-3.0, 0.1, 4.0), DEMO_MULTS,
-                                  frozen=(False, True, False))
-        assert ws.a_values[1] is None
-        assert ws.s_values[1] is None
-        assert ws.q_products[1] is None
-        assert ws.correction_sums[1] is None
-        assert ws.a_values[0] is not None and ws.a_values[2] is not None
+        svals, sums = build_step_workspace(demo_poly, (-3.0, 0.1, 4.0),
+                                           DEMO_MULTS, frozen=(False, True, False))
+        assert svals[1] is None and sums[1] is None
+        assert all(_finite(z) for z in (svals[0], svals[2], sums[0], sums[2]))
 
-    def test_landed_index_has_no_s_value_but_keeps_evaluations(self, demo_poly):
+    def test_landed_index_has_no_s_value_but_feeds_other_sums(self, demo_poly):
         # an exact root that is not frozen yet: A = 0, so S is undefined,
-        # but its position still feeds the other indices' products
-        ws = build_step_workspace(demo_poly, (-3.0, 1.0, 4.0), DEMO_MULTS)
-        assert ws.a_values[1] == 0
-        assert ws.s_values[1] is None
-        assert ws.q_products[1] is not None
-        assert ws.correction_sums[0] is not None
+        # but its position still feeds the other indices' products and sums
+        svals, sums = build_step_workspace(demo_poly, (-3.0, 1.0, 4.0), DEMO_MULTS)
+        assert svals[1] is None
+        assert _finite(svals[0]) and _finite(svals[2])
+        assert all(_finite(z) for z in sums)
 
     def test_matches_operation_level_helpers(self, demo_poly):
         approx = (-3.0, 0.1, 4.0)
-        ws = build_step_workspace(demo_poly, approx, DEMO_MULTS)
+        svals, _ = build_step_workspace(demo_poly, approx, DEMO_MULTS)
         for i in range(3):
-            assert ws.q_log_derivatives[i] == q_log_derivative(
-                approx, DEMO_MULTS, i
-            )
-            assert ws.q_products[i] == q_product(approx, DEMO_MULTS, i)
-            assert ws.s_values[i] == s_value(demo_poly, approx, DEMO_MULTS, i)
+            assert bits(svals[i]) == bits(s_value(demo_poly, approx, DEMO_MULTS, i))
 
 
 class TestSolveConfig:
@@ -291,11 +293,11 @@ class TestGekStep:
     def test_total_step_order_independent(self, demo_poly):
         # assembling components in reverse index order changes nothing
         approx = (-3.0, 0.1, 4.0)
-        ws = build_step_workspace(demo_poly, approx, DEMO_MULTS)
+        svals, sums = build_step_workspace(demo_poly, approx, DEMO_MULTS)
         forward = gek_step(demo_poly, approx, DEMO_MULTS)
         reverse = [None] * 3
         for i in (2, 1, 0):
-            den = ws.s_values[i] + ws.correction_sums[i]
+            den = svals[i] + sums[i]
             reverse[i] = approx[i] - DEMO_MULTS[i] / den
         assert tuple(reverse) == forward
 
@@ -441,22 +443,57 @@ def _ref_ek_step(poly, values, cfg, flags):
     )
 
 
+def _ref_gek_sweep(poly, vec, mults, cfg, flags, indices):
+    # Every quantity at ``vec`` formed afresh, in the kernel's order: the
+    # collision scan; per active j its evaluation, deflation sum and
+    # product; s-values and the numerators
+    # alpha_j A_j (s_j / alpha_j)**(alpha_j - 1); the correction sums of
+    # all active indices; then the updates of ``indices``.
+    m = len(vec)
+    iteration._check_collisions(vec, flags, _collision_limit(vec))
+    active = [j for j in range(m) if not flags[j]]
+    evals, deflation = {}, {}
+    for j in active:
+        evals[j] = eval_with_derivative(poly, vec[j])
+        deflation[j] = q_log_derivative(vec, mults, j), q_product(vec, mults, j)
+    svals, numers = {}, {}
+    for j in active:
+        value, deriv = evals[j]
+        if abs(value) > cfg.residual_tolerance:
+            svals[j] = deriv / value - deflation[j][0]
+            if len(active) >= 2:
+                numers[j] = mults[j] * value * integer_power(svals[j] / mults[j],
+                                                             mults[j] - 1)
+    sums = {}
+    for i in active:
+        total = complex(0.0)
+        for j in numers:
+            if j != i:
+                diff = vec[j] - vec[i]
+                total += numers[j] / (deflation[j][1] * diff * diff)
+        sums[i] = require_finite(total, "correction sum")
+    new = list(vec)
+    for i in indices:
+        if i not in svals:
+            raise ResidualZeroError(i, 0.0)
+        den = svals[i] + sums[i]
+        if abs(den) <= iteration.SINGULAR_DENOMINATOR_FLOOR * max(1.0, mults[i]):
+            raise SingularDenominatorError(
+                f"denominator {abs(den):.3e} at index {i} is numerically zero"
+            )
+        new[i] = require_finite(vec[i] - mults[i] / den,
+                                f"updated approximation {i}")
+    return new
+
+
 def _ref_gek_step(poly, values, mults, cfg, flags):
     vec = iteration._as_vector(values)
-    m = len(vec)
+    active = [i for i in range(len(vec)) if not flags[i]]
     if cfg.update_mode is UpdateMode.SERIAL:
-        current = list(vec)
-        for i in range(m):
-            if flags[i]:
-                continue
-            ws = build_step_workspace(poly, current, mults, flags, cfg)
-            current[i] = iteration._gek_update(current, mults, ws, i)
-        return tuple(current)
-    ws = build_step_workspace(poly, vec, mults, flags, cfg)
-    return tuple(
-        vec[i] if flags[i] else iteration._gek_update(vec, mults, ws, i)
-        for i in range(m)
-    )
+        for i in active:
+            vec = _ref_gek_sweep(poly, vec, mults, cfg, flags, [i])
+        return tuple(vec)
+    return tuple(_ref_gek_sweep(poly, vec, mults, cfg, flags, active))
 
 
 def _outcome(step, *args):

@@ -28,7 +28,6 @@ from multiroots.cli import (
     ProblemSpec,
     parse_problem,
 )
-from multiroots.iteration import StepWorkspace, build_step_workspace
 from multiroots.theory import TheoremConstants
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
@@ -39,8 +38,6 @@ SIGNATURES = {
                   "update_mode"],
     TraceRecord: ["k", "values", "residuals", "steps", "frozen"],
     SolveReport: ["status", "final", "iterations_used", "trace"],
-    StepWorkspace: ["a_values", "a_primes", "q_log_derivatives", "s_values",
-                    "q_products", "correction_sums"],
     MonicPolynomial: ["low_coefficients"],
     RootSystem: ["roots", "multiplicities"],
     TheoremConstants: ["c", "q", "d", "n", "M", "N"],
@@ -67,7 +64,6 @@ def one_of_each():
         SolveConfig(),
         report.trace[0],
         report,
-        build_step_workspace(poly, DEMO_INITIAL, DEMO_MULTIPLICITIES),
         poly,
         rs,
         check.constants,
