@@ -48,24 +48,31 @@ class UpdateMode(enum.Enum):
 
     Either way a sweep evaluates each point once and reuses its (A, A')
     pair for every later use in that sweep.  With ``a`` active components
-    a TOTAL_STEP sweep makes ``a`` evaluations; a SERIAL sweep makes
-    ``2a - 1``, one more for each component that has moved.  `solve` then
-    evaluates the ``a`` updated components once more for their residuals
-    and carries the residual of each frozen one, so one of its sweeps
-    costs ``2a`` evaluations in TOTAL_STEP mode and ``3a - 1`` in SERIAL
-    mode.
+    out of ``m`` a TOTAL_STEP sweep makes ``a`` evaluations; a SERIAL sweep
+    makes ``2a - 1``, one more for each component that has moved.  `solve`
+    then evaluates the ``a`` updated components once more for their
+    residuals and carries the residual of each frozen one, so one of its
+    sweeps costs ``2a`` evaluations in TOTAL_STEP mode and ``3a - 1`` in
+    SERIAL mode.
 
     Both step kinds run on one deflation kernel (the simple-root step is
     the generalized one's with every multiplicity 1), and one loop drives
-    the SERIAL sweeps of both.  Each build of the kernel checks every
-    pair for collisions and forms each active index's deflation sum and
-    product once, to be shared by every index that needs them; the
-    generalized step keeps only each index's s-value and correction sum
-    from it (see `build_step_workspace`).  The kernel's pair terms are
-    kept across a sweep too: a SERIAL sweep forms the pair terms of every
-    active row once; after a component moves, only the ``2(m - 1)`` pairs
-    in its row and column are formed again, O(m) work per moved component
-    instead of O(a m).
+    the SERIAL sweeps of both.  A build of the kernel checks every pair
+    for collisions, forms the pair terms alpha_l / (x_j - x_l) and
+    (x_j - x_l)**alpha_l of ``a(m - 1)`` ordered pairs (one
+    ``integer_power`` call where alpha_l > 1, none for a simple root) and
+    reduces each active row to its deflation sum and product.  The
+    generalized step's build also forms one ``integer_power`` numerator
+    per active index once two are active.  A TOTAL_STEP sweep makes one
+    build; a SERIAL sweep builds before each update but keeps the table of
+    pair terms, so after a component moves only the ``(m - 1) + (a - 1)``
+    pairs of its row and column are formed again: O(m) work per moved
+    component instead of O(a m).  Every row is still reduced in full, in
+    the order of a full build, so results and errors are bitwise those of
+    building from scratch before each update.  Each update forms its own
+    index's neighbour sum (the generalized step's correction sum), one
+    complex division per other active index: ``a`` sums per sweep in
+    either mode.
     """
 
     TOTAL_STEP = "total"
@@ -231,7 +238,9 @@ def q_log_derivative(
     The sum is reduced from the same row of pair terms as `q_product`, so
     the powers (x_index - x_j)**alpha_j are formed too, and NonFiniteError
     is raised where one of them overflows binary64 (both steps raise there
-    as well).
+    as well).  ValueError is raised for an ``index`` outside
+    ``range(len(values))`` (such as -1 or 1.5) and for one multiplicity too
+    many or too few; the same holds for `q_product` and `s_value`.
     """
     return _deflation(values, multiplicities, index)[0]
 
@@ -253,10 +262,31 @@ def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
     # Only pairs that involve ``index`` are checked, by the solver's scan
     # with every other index marked frozen.
-    vec = _as_vector(values)
+    vec = _checked_index(values, multiplicities, index)
     others_frozen = [l != index for l in range(len(vec))]
     _check_collisions(vec, others_frozen, _collision_limit(vec))
     return _reduce_row(_row(vec, multiplicities, index))
+
+
+def _checked_index(values, multiplicities, index):
+    # ``values`` as a vector, once ``index`` and the multiplicities fit it.
+    vec = _as_vector(values)
+    _require_count(len(vec), len(multiplicities), "multiplicities")
+    if index not in range(len(vec)):  # False for -1 and for 1.5
+        raise ValueError(f"index {index!r} out of range for {len(vec)} approximations")
+    return vec
+
+
+def _require_count(m, count, name):
+    if count != m:
+        raise ValueError(f"{m} approximations but {count} {name}")
+
+
+def _frozen_flags(frozen, m):
+    # The frozen flags of ``m`` approximations; None freezes none.
+    flags = (False,) * m if frozen is None else tuple(bool(f) for f in frozen)
+    _require_count(m, len(flags), "frozen flags")
+    return flags
 
 
 def s_value(
@@ -274,7 +304,7 @@ def s_value(
     (ResidualZeroError is raised to say so).  Q'/Q is `q_log_derivative`,
     with its errors, collisions under the fixed rule among them.
     """
-    vec = _as_vector(values)
+    vec = _checked_index(values, multiplicities, index)
     value, deriv = eval_with_derivative(poly, vec[index])
     if abs(value) <= residual_tolerance:
         raise ResidualZeroError(index, abs(value))
@@ -287,30 +317,27 @@ def build_step_workspace(
     multiplicities: Sequence[int],
     frozen: Optional[Sequence[bool]] = None,
     config: Optional[SolveConfig] = None,
-) -> tuple[list[Optional[complex]], list[Optional[complex]]]:
-    """The two per-index quantities the generalized update reads.
+) -> tuple[list[Optional[complex]], list[tuple]]:
+    """What the generalized update reads, formed by one kernel build.
 
-    Returns ``(s_values, correction_sums)``, two lists indexed like
-    ``values``: the deflated logarithmic derivative s_j (`s_value`) and
-    the correction sum of each index.  A frozen index carries None in
-    both.  An index whose residual is at or below the residual tolerance
-    (an exact landing not yet frozen by the caller) carries an s-value of
-    None: its own update is impossible, and its term in other indices'
-    correction sums is the analytic limit 0.
-
-    The deflation terms come from the kernel both steps share: every
-    active index is evaluated once, and with ``a`` active components out
-    of ``m`` one build forms the pair terms of ``a(m - 1)`` ordered pairs.
-    A pair whose far end has multiplicity ``alpha_l > 1`` makes one
-    ``integer_power`` call; a simple one makes none.  One more
-    ``integer_power`` call goes to each correction-sum numerator.  Serial
-    `gek_step` forms the same pair terms once per sweep and then
-    refreshes only the pairs of the component that moved.
+    Returns ``(s_values, terms)``.  ``s_values`` is indexed like
+    ``values`` and holds the deflated logarithmic derivative s_j
+    (`s_value`) of each active index.  A frozen index carries None, and so
+    does an index whose residual is at or below the residual tolerance
+    (an exact landing not yet frozen by the caller): its own update is
+    impossible.  ``terms`` holds ``(j, numer_j, qprod_j, x_j)`` for each
+    index j with an s-value, where numer_j = alpha_j A_j
+    (s_j / alpha_j)**(alpha_j - 1) and qprod_j is j's deflating product
+    (`q_product`); it is empty unless two indices are active.  The update
+    of index i forms its correction sum from them,
+    sum over j != i of numer_j / (qprod_j (x_j - x_i)**2); an index
+    without an s-value adds its analytic limit 0 there.  The work of a
+    build is described under `UpdateMode`.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
     m = len(vec)
-    flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
+    flags = _frozen_flags(frozen, m)
     return _gek_terms(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
 
 
@@ -352,12 +379,10 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     of the table for an active j.  With ``moved`` None every active row is
     built.  Otherwise the table was filled at a vector that differs from
     ``vec`` in component ``moved`` alone, and only row ``moved`` and
-    column ``moved`` are refreshed: at most ``2(m - 1)`` pair terms
-    instead of ``a(m - 1)`` for ``a`` active rows.  Either way each active
-    row is then reduced in full, in order of l, so sums and products are
-    rounded exactly as in a full build.  Unchanged pair terms raised
-    nothing when they were formed, so errors come in the order of a full
-    build too.
+    column ``moved`` are refreshed.  Either way each active row is then
+    reduced in full, in order of l, so sums and products are rounded
+    exactly as in a full build.  Unchanged pair terms raised nothing when
+    they were formed, so errors come in the order of a full build too.
 
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
@@ -398,13 +423,11 @@ def _gek_terms(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
     # `build_step_workspace`'s pair at ``vec``, from `_deflate` with the
     # same arguments.  Numerators of the correction-sum terms depend on j
     # alone.  A term is only used by another active index, so none is
-    # formed unless at least two indices are active; a landed or frozen
-    # index's term has the analytic limit 0.
+    # formed unless at least two indices are active.
     kernel = _deflate(poly, vec, multiplicities, flags, evals, rows, moved)
-    m = len(vec)
-    two_active = m - sum(flags) >= 2
-    svals: list[Optional[complex]] = [None] * m
-    numerators = []
+    two_active = len(vec) - sum(flags) >= 2
+    svals: list[Optional[complex]] = [None] * len(vec)
+    terms = []
     for j, entry in enumerate(kernel):
         if entry is None:
             continue
@@ -415,13 +438,8 @@ def _gek_terms(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
         if two_active:
             alpha_j = multiplicities[j]
             numer = alpha_j * value * integer_power(s_j / alpha_j, alpha_j - 1)
-            numerators.append((j, numer, qprod, vec[j]))
-    sums: list[Optional[complex]] = [
-        None if flags[i] else
-        require_finite(_neighbour_sum(vec, i, numerators), "correction sum")
-        for i in range(m)
-    ]
-    return svals, sums
+            terms.append((j, numer, qprod, vec[j]))
+    return svals, terms
 
 
 def _serial_sweep(vec, flags, prepare, update):
@@ -448,21 +466,27 @@ def _serial_sweep(vec, flags, prepare, update):
     return tuple(current)
 
 
+def _corrected(vec, index, numer, den, floor):
+    # The tail of both updates: x_i - numer / den, unless |den| <= floor.
+    if abs(den) <= floor:
+        raise SingularDenominatorError(
+            f"denominator {abs(den):.3e} at index {index} is numerically zero"
+        )
+    return require_finite(vec[index] - numer / den, f"updated approximation {index}")
+
+
 def _gek_update(vec, multiplicities, prepared, index):
-    # ``prepared`` is a `build_step_workspace` pair at ``vec``.
-    s_values, correction_sums = prepared
+    # ``prepared`` is a `build_step_workspace` pair at ``vec``.  The sum is
+    # checked before the s-value, so the faults of one index still come in
+    # the order they had when every sum was formed ahead of the updates.
+    s_values, terms = prepared
+    correction = require_finite(_neighbour_sum(vec, index, terms), "correction sum")
     s_i = s_values[index]
     if s_i is None:
         raise ResidualZeroError(index, 0.0)
     alpha_i = multiplicities[index]
-    den = s_i + correction_sums[index]
-    if abs(den) <= SINGULAR_DENOMINATOR_FLOOR * max(1.0, alpha_i):
-        raise SingularDenominatorError(
-            f"denominator {abs(den):.3e} at index {index} is numerically zero"
-        )
-    new = vec[index] - alpha_i / den
-    require_finite(new, f"updated approximation {index}")
-    return new
+    return _corrected(vec, index, alpha_i, s_i + correction,
+                      SINGULAR_DENOMINATOR_FLOOR * max(1.0, alpha_i))
 
 
 def gek_step(
@@ -475,19 +499,11 @@ def gek_step(
     """One sweep of the generalized fourth-order simultaneous update.
 
     Each component moves by `alpha_i` over the deflated logarithmic
-    derivative corrected with the neighbor sum; frozen components are
-    copied through bitwise unchanged.  Each update reads two per-index
-    quantities, the s-values and correction sums of
-    `build_step_workspace`.  Each point is evaluated once per sweep: ``a``
-    evaluations for ``a`` active components in total-step mode, ``2a - 1``
-    in serial mode, where only the component that just moved is evaluated
-    again before the next build.  A serial sweep keeps a table of pair
-    terms (alpha_l / (x_j - x_l) and (x_j - x_l)**alpha_l): the first build
-    forms ``a(m - 1)`` of them, and each later one refreshes only the
-    ``(m - 1) + (a - 1)`` pairs of the moved component's row and column,
-    then reduces every row again in the order of a full build.  Results
-    and errors are bitwise those of building from scratch before each
-    update.
+    derivative plus its correction sum; frozen components are copied
+    through bitwise unchanged.  Each update reads the s-value and the
+    correction-sum terms of `build_step_workspace` and forms its own
+    correction sum.  The evaluations and the work of a sweep are described
+    under `UpdateMode`.
 
     Parameters
     ----------
@@ -500,7 +516,8 @@ def gek_step(
     config : SolveConfig, optional
         Supplies tolerances and the update mode; defaults apply when None.
     frozen : sequence of bool, optional
-        Components to exclude from updating; defaults to all active.
+        Components to exclude from updating, one flag per approximation;
+        defaults to all active.
 
     Returns
     -------
@@ -512,12 +529,14 @@ def gek_step(
     CollisionError, SingularDenominatorError, NonFiniteError,
     ResidualZeroError
         Guard failures; `solve` maps these to report statuses.
+    ValueError
+        For multiplicities or frozen flags that do not fit the problem.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
     m = len(vec)
     _validate_problem(poly, multiplicities, m)
-    flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
+    flags = _frozen_flags(frozen, m)
 
     def prepare(current, evals, rows, moved):
         return _gek_terms(poly, current, multiplicities, flags, cfg,
@@ -538,13 +557,7 @@ def _ek_update(vec, prepared, index):
     kernel, terms = prepared
     (value, deriv), wlog, _ = kernel[index]
     den = deriv - value * wlog + value * _neighbour_sum(vec, index, terms)
-    if abs(den) <= SINGULAR_DENOMINATOR_FLOOR:
-        raise SingularDenominatorError(
-            f"denominator {abs(den):.3e} at index {index} is numerically zero"
-        )
-    new = vec[index] - value / den
-    require_finite(new, f"updated approximation {index}")
-    return new
+    return _corrected(vec, index, value, den, SINGULAR_DENOMINATOR_FLOOR)
 
 
 def ek_step(
@@ -562,12 +575,9 @@ def ek_step(
     correction degenerates to Newton's and vanishes).  The step runs on
     the deflation kernel of `gek_step` with every multiplicity 1, where
     the deflation sum is sum_{l != j} 1 / (x_j - x_l) and the deflating
-    product w_j = prod_{l != j} (x_j - x_l); a simple pair makes no
-    ``integer_power`` call.  So evaluations, collision checks and the
-    pair-term table work as there: ``a`` evaluations for ``a`` active
-    components in total-step mode and ``2a - 1`` in serial mode, each w_j
-    formed once per build, and a serial sweep checking every pair before
-    each update and refreshing only the moved component's row and column.
+    product w_j = prod_{l != j} (x_j - x_l); each update forms its own
+    neighbour sum, sum_{j != i} A_j / (w_j (x_j - x_i)**2).  The
+    evaluations and the work of a sweep are described under `UpdateMode`.
     """
     cfg = config or SolveConfig()
     vec = _as_vector(values)
@@ -577,7 +587,7 @@ def ek_step(
             f"simple-root step needs one approximation per degree: "
             f"{m} values for degree {poly.degree}"
         )
-    flags = tuple(bool(f) for f in frozen) if frozen is not None else (False,) * m
+    flags = _frozen_flags(frozen, m)
     ones = (1,) * m
 
     def prepare(current, evals, rows, moved):
@@ -593,10 +603,7 @@ def ek_step(
 
 
 def _validate_problem(poly, multiplicities, m):
-    if len(multiplicities) != m:
-        raise ValueError(
-            f"{m} approximations but {len(multiplicities)} multiplicities"
-        )
+    _require_count(m, len(multiplicities), "multiplicities")
     for a in multiplicities:
         if _as_multiplicity(a) < 1:
             raise ValueError(f"multiplicities must be positive integers, got {a!r}")

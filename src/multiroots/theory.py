@@ -10,6 +10,7 @@ contraction base ``q``, it decides whether the fourth-order error bound
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from typing import Optional, Sequence
 
@@ -157,18 +158,18 @@ def error_bound(c: float, q: float, k: int) -> float:
     """A-priori error bound c * q**(4**k) after k iterations.
 
     Underflows cleanly to 0 for large k, which is the correct limit.
+    ValueError is raised for a ``k`` that is a bool, not an integer (such
+    as 2.5 or 2.0) or negative.
     """
     if not c > 0.0:
         raise ValueError("c must be positive")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     try:
-        exponent = 4.0 ** int(k)
+        exponent = 4.0 ** int(k)  # a float power raises rather than give inf
     except OverflowError:
-        return 0.0
-    if math.isinf(exponent):
         return 0.0
     return c * math.pow(q, exponent)
 

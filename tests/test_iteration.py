@@ -111,6 +111,22 @@ class TestSValue:
         assert got == pytest.approx(direct, rel=1e-10)
 
 
+class TestDeflationHelperArguments:
+    # index 5 of 3 used to raise IndexError, index -1 ZeroDivisionError (it
+    # paired vec[-1] with itself), and a short multiplicity list IndexError
+    @pytest.mark.parametrize("index,mults", [
+        (5, DEMO_MULTS), (3, DEMO_MULTS), (-1, DEMO_MULTS), (1.5, DEMO_MULTS),
+        (0, DEMO_MULTS[:2]), (0, DEMO_MULTS + (1,)),
+    ])
+    def test_index_and_length_checked(self, demo_poly, index, mults):
+        approx = (-3.0, 0.1, 4.0)
+        for call in (lambda: q_log_derivative(approx, mults, index),
+                     lambda: q_product(approx, mults, index),
+                     lambda: s_value(demo_poly, approx, mults, index)):
+            with pytest.raises(ValueError, match="out of range|3 approximations but"):
+                call()
+
+
 # The loops the deflation helpers used to carry, kept as a test-local
 # reference: the library now forms the helpers' row with the steps' pair
 # terms and reduces it the same way, and must give the same bits.  A
@@ -206,26 +222,71 @@ def _finite(z):
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def _correction_sums(values, terms):
+    vec = iteration._as_vector(values)
+    return [iteration._neighbour_sum(vec, i, terms) for i in range(len(vec))]
+
+
 class TestStepWorkspace:
     def test_frozen_slots_carry_none(self, demo_poly):
-        svals, sums = build_step_workspace(demo_poly, (-3.0, 0.1, 4.0),
-                                           DEMO_MULTS, frozen=(False, True, False))
-        assert svals[1] is None and sums[1] is None
+        approx = (-3.0, 0.1, 4.0)
+        svals, terms = build_step_workspace(demo_poly, approx, DEMO_MULTS,
+                                            frozen=(False, True, False))
+        assert svals[1] is None
+        assert [t[0] for t in terms] == [0, 2]
+        sums = _correction_sums(approx, terms)
         assert all(_finite(z) for z in (svals[0], svals[2], sums[0], sums[2]))
 
     def test_landed_index_has_no_s_value_but_feeds_other_sums(self, demo_poly):
-        # an exact root that is not frozen yet: A = 0, so S is undefined,
-        # but its position still feeds the other indices' products and sums
-        svals, sums = build_step_workspace(demo_poly, (-3.0, 1.0, 4.0), DEMO_MULTS)
+        # an exact root that is not frozen yet: A = 0, so S is undefined and
+        # its correction-sum term is the analytic limit 0, but its position
+        # still feeds the other indices' products and sums
+        approx = (-3.0, 1.0, 4.0)
+        svals, terms = build_step_workspace(demo_poly, approx, DEMO_MULTS)
         assert svals[1] is None
         assert _finite(svals[0]) and _finite(svals[2])
-        assert all(_finite(z) for z in sums)
+        assert [t[0] for t in terms] == [0, 2]
+        assert all(_finite(z) for z in _correction_sums(approx, terms))
+
+    def test_terms_hold_numerators_and_products(self, demo_poly):
+        approx = (-3.0, 0.1, 4.0)
+        svals, terms = build_step_workspace(demo_poly, approx, DEMO_MULTS)
+        for j, numer, qprod, x_j in terms:
+            value, _ = eval_with_derivative(demo_poly, approx[j])
+            alpha = DEMO_MULTS[j]
+            assert bits(numer) == bits(alpha * value * integer_power(svals[j] / alpha,
+                                                                     alpha - 1))
+            assert bits(qprod) == bits(q_product(approx, DEMO_MULTS, j))
+            assert x_j == approx[j]
+
+    def test_single_active_index_has_no_terms(self, demo_poly):
+        svals, terms = build_step_workspace(demo_poly, (-3.0, 0.1, 4.0), DEMO_MULTS,
+                                            frozen=(True, False, True))
+        assert terms == [] and _finite(svals[1])
 
     def test_matches_operation_level_helpers(self, demo_poly):
         approx = (-3.0, 0.1, 4.0)
         svals, _ = build_step_workspace(demo_poly, approx, DEMO_MULTS)
         for i in range(3):
             assert bits(svals[i]) == bits(s_value(demo_poly, approx, DEMO_MULTS, i))
+
+
+class TestFrozenFlags:
+    # a shorter list used to raise a bare IndexError and a longer one was
+    # silently cut to length
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("frozen", [(False, True), (False, True, False, False)])
+    def test_wrong_length_rejected(self, demo_poly, mode, frozen):
+        approx = (-3.0, 0.1, 4.0)
+        simple = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
+        cfg = SolveConfig(update_mode=mode)
+        message = f"3 approximations but {len(frozen)} frozen flags"
+        for call in (lambda: gek_step(demo_poly, approx, DEMO_MULTS, cfg, frozen),
+                     lambda: ek_step(simple, approx, cfg, frozen),
+                     lambda: build_step_workspace(demo_poly, approx, DEMO_MULTS,
+                                                  frozen, cfg)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestSolveConfig:
@@ -293,11 +354,11 @@ class TestGekStep:
     def test_total_step_order_independent(self, demo_poly):
         # assembling components in reverse index order changes nothing
         approx = (-3.0, 0.1, 4.0)
-        svals, sums = build_step_workspace(demo_poly, approx, DEMO_MULTS)
+        svals, terms = build_step_workspace(demo_poly, approx, DEMO_MULTS)
         forward = gek_step(demo_poly, approx, DEMO_MULTS)
         reverse = [None] * 3
         for i in (2, 1, 0):
-            den = svals[i] + sums[i]
+            den = svals[i] + iteration._neighbour_sum(approx, i, terms)
             reverse[i] = approx[i] - DEMO_MULTS[i] / den
         assert tuple(reverse) == forward
 
@@ -447,8 +508,8 @@ def _ref_gek_sweep(poly, vec, mults, cfg, flags, indices):
     # Every quantity at ``vec`` formed afresh, in the kernel's order: the
     # collision scan; per active j its evaluation, deflation sum and
     # product; s-values and the numerators
-    # alpha_j A_j (s_j / alpha_j)**(alpha_j - 1); the correction sums of
-    # all active indices; then the updates of ``indices``.
+    # alpha_j A_j (s_j / alpha_j)**(alpha_j - 1); then, for each index of
+    # ``indices`` in turn, its correction sum and its update.
     m = len(vec)
     iteration._check_collisions(vec, flags, _collision_limit(vec))
     active = [j for j in range(m) if not flags[j]]
@@ -464,19 +525,17 @@ def _ref_gek_sweep(poly, vec, mults, cfg, flags, indices):
             if len(active) >= 2:
                 numers[j] = mults[j] * value * integer_power(svals[j] / mults[j],
                                                              mults[j] - 1)
-    sums = {}
-    for i in active:
+    new = list(vec)
+    for i in indices:
         total = complex(0.0)
         for j in numers:
             if j != i:
                 diff = vec[j] - vec[i]
                 total += numers[j] / (deflation[j][1] * diff * diff)
-        sums[i] = require_finite(total, "correction sum")
-    new = list(vec)
-    for i in indices:
+        require_finite(total, "correction sum")
         if i not in svals:
             raise ResidualZeroError(i, 0.0)
-        den = svals[i] + sums[i]
+        den = svals[i] + total
         if abs(den) <= iteration.SINGULAR_DENOMINATOR_FLOOR * max(1.0, mults[i]):
             raise SingularDenominatorError(
                 f"denominator {abs(den):.3e} at index {i} is numerically zero"
@@ -680,8 +739,56 @@ class TestOneEvaluationPerPoint:
                 expected += [out[i] for i in active[:-1]]
             assert evaluated == expected
 
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    @pytest.mark.parametrize("frozen", [
+        (False,) * 6,
+        (True, False, False, True, False, False),
+        (True,) * 5 + (False,),
+    ])
+    @pytest.mark.parametrize("mults", [(1,) * 6, (2, 1, 3, 1, 2, 1)])
+    def test_one_neighbour_sum_per_update(self, monkeypatch, mode, frozen, mults):
+        # Each update forms the neighbour (or correction) sum of its own
+        # index only: a sums per sweep, not one per active index and build.
+        roots = (-2, -1 + 1j, 0, 1 - 2j, 2, 1 + 2j)
+        poly = poly_from_roots(RootSystem(roots, mults))
+        approx = perturbed(np.random.default_rng(7), roots, 0.1)
+        summed = []
+        counted = iteration._neighbour_sum
+
+        def counting(vec, i, terms):
+            summed.append(i)
+            return counted(vec, i, terms)
+
+        monkeypatch.setattr(iteration, "_neighbour_sum", counting)
+        cfg = SolveConfig(update_mode=mode)
+        steps = [lambda: gek_step(poly, approx, mults, cfg, frozen)]
+        if mults == (1,) * 6:
+            steps.append(lambda: ek_step(poly, approx, cfg, frozen))
+        for step in steps:
+            summed.clear()
+            step()
+            assert summed == [i for i in range(6) if not frozen[i]]
+
 
 class TestSolve:
+    @pytest.mark.parametrize("frozen_start", [False, True])
+    def test_total_gek_builds_through_the_workspace_once_per_sweep(
+            self, monkeypatch, demo_poly, demo_config, frozen_start):
+        # `build_step_workspace` is the span point of the benchmark's
+        # tracer (`iteration.workspace`), so a total-step generalized sweep
+        # must reach it through the module global, once
+        calls = []
+        counted = iteration.build_step_workspace
+
+        def counting(*args):
+            calls.append(args[1])
+            return counted(*args)
+
+        monkeypatch.setattr(iteration, "build_step_workspace", counting)
+        initial = (DEMO_ROOTS[0],) + DEMO_INITIAL[1:] if frozen_start else DEMO_INITIAL
+        report = solve(demo_poly, DEMO_MULTS, initial, demo_config)
+        assert report.converged
+        assert calls == [rec.values for rec in report.trace[:-1]]
     def test_demo_fixture_three_iterations(self, demo_poly, demo_config):
         report = solve(demo_poly, DEMO_MULTS, DEMO_INITIAL, demo_config)
         assert report.status is SolveStatus.CONVERGED

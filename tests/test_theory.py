@@ -130,6 +130,15 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(1.0, 0.5, -1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to give the bound for k = 2, and True the one for k = 1
+        with pytest.raises(ValueError, match="k must be a nonnegative integer"):
+            error_bound(0.1, 0.5, k)
+
+    def test_integer_like_k_accepted(self):
+        assert error_bound(1.0, 0.5, np.int64(1)) == error_bound(1.0, 0.5, 1)
+
 
 class TestEstimateOrder:
     def test_quartic_synthetic_sequence(self):
