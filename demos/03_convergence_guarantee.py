@@ -30,8 +30,8 @@ for c in (0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0):
 
 c = 0.01
 result = theorem_check(system, c, q)
-print(f"\nwith c={c}: d={result.constants.d}, n={result.constants.n}, "
-      f"M={result.constants.M:.6f}, N={result.constants.N:.6e}")
+print(f"\nwith c={c}: d={result.d}, n={result.n}, "
+      f"M={result.M:.6f}, N={result.N:.6e}")
 
 print("\na-priori bound c * q**(4**k):")
 for k in range(4):

@@ -2,16 +2,18 @@
 
 Problems arrive as a single JSON document (file or stdin): either explicit
 monic coefficients or roots-with-multiplicities, plus initial
-approximations and optional solver-config overrides.  Complex numbers are
-two-element arrays [re, im]; bare numbers are accepted as reals.
+approximations and an optional solver ``config`` object, the only way to
+configure a solve.  Complex numbers are two-element arrays [re, im]; bare
+numbers are accepted as reals.
 
 JSON booleans are not numbers here, although Python's ``bool`` is an
 ``int``.
 
-Exit codes: 0 ok/guaranteed, 1 input error or standard output closed by its
-reader before the output was written (``... | head``), 2 max-iterations
-reached, 3 numerical failure (collision/singular denominator/overflow),
-4 guarantee not established.
+Exit codes: 0 ok/guaranteed (and ``--help``), 1 input error, usage error
+(argparse's message on stderr) or standard output closed by its reader
+before the output was written (``... | head``), 2 max-iterations reached,
+3 numerical failure (collision/singular denominator/overflow), 4 guarantee
+not established.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .iteration import (
 )
 from .polynomial import MonicPolynomial, is_finite
 from .rootsystem import RootSystem, poly_from_roots
-from .theory import TheoremCheckResult, estimate_order, theorem_check
+from .theory import estimate_order, theorem_check
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -140,22 +142,17 @@ def _as_multiplicities(obj) -> tuple[int, ...]:
     return tuple(obj)
 
 
-def parse_config(data: dict, overrides: Optional[dict] = None) -> SolveConfig:
-    """Build a SolveConfig from a JSON config object plus CLI overrides."""
-    merged = dict(data or {})
-    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
+def parse_config(data: dict) -> SolveConfig:
+    """Build a SolveConfig from a JSON config object."""
     known = {
         "max_iterations", "step_tolerance", "residual_tolerance", "update_mode",
     }
-    unknown = set(merged) - known
+    unknown = set(data) - known
     if unknown:
         raise ProblemSpecError(f"input: unknown config fields {sorted(unknown)}")
-    kwargs = {}
-    for key in known - {"update_mode"}:
-        if key in merged:
-            kwargs[key] = merged[key]
-    if "update_mode" in merged:
-        mode = merged["update_mode"]
+    kwargs = {key: data[key] for key in known - {"update_mode"} if key in data}
+    if "update_mode" in data:
+        mode = data["update_mode"]
         try:
             kwargs["update_mode"] = UpdateMode(mode)
         except ValueError:
@@ -177,6 +174,8 @@ def _load_document(text: str) -> tuple[dict, tuple[int, ...], Optional[tuple[com
         raise ProblemSpecError(
             f"input:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ProblemSpecError("input: arrays or objects nest too deeply") from None
     if not isinstance(data, dict):
         raise ProblemSpecError("input: top-level document must be an object")
     if "multiplicities" not in data:
@@ -192,7 +191,7 @@ def _load_document(text: str) -> tuple[dict, tuple[int, ...], Optional[tuple[com
     return data, mults, roots
 
 
-def parse_problem(text: str, config_overrides: Optional[dict] = None) -> ProblemSpec:
+def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem JSON document into a validated ProblemSpec.
 
     A multiplicity above 106 (`_MAX_MULTIPLICITY`) is rejected before anything
@@ -238,9 +237,8 @@ def parse_problem(text: str, config_overrides: Optional[dict] = None) -> Problem
     cfg_data = data.get("config", {})
     if not isinstance(cfg_data, dict):
         raise ProblemSpecError("input: 'config' must be an object")
-    config = parse_config(cfg_data, config_overrides)
     return ProblemSpec(poly=poly, multiplicities=mults, initial=initial,
-                       config=config, roots=roots)
+                       config=parse_config(cfg_data), roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +349,6 @@ def emit_report(report: SolveReport, fmt: str, out) -> None:
         print(report_to_table(report), file=out)
 
 
-def check_result_to_data(result: TheoremCheckResult) -> dict:
-    con = result.constants
-    return {
-        "c": con.c,
-        "q": con.q,
-        "d": con.d,
-        "n": con.n,
-        "M": con.M,
-        "N": con.N,
-        "lhs": result.lhs,
-        "per_root_margin": list(result.per_root_margin),
-        "guaranteed": result.guaranteed,
-        "reason": result.reason,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -381,7 +363,7 @@ def _read_input(path: Optional[str]) -> str:
 
 
 def cmd_solve(args) -> int:
-    spec = parse_problem(_read_input(args.input), _cli_config_overrides(args))
+    spec = parse_problem(_read_input(args.input))
     report = solve(spec.poly, spec.multiplicities, spec.initial, spec.config)
     emit_report(report, args.format, sys.stdout)
     return _STATUS_EXIT[report.status]
@@ -398,29 +380,21 @@ def cmd_check_theorem(args) -> int:
     _, mults, roots = _load_document(_read_input(args.input))
     if roots is None:
         raise ProblemSpecError("input: check-theorem needs 'roots'")
-    if len(roots) < 2:
-        raise ProblemSpecError("input: check-theorem needs at least two roots")
-    try:
-        rs = RootSystem(roots, mults)
-        result = theorem_check(rs, args.c, args.q)
-    except (ValueError, DegenerateSystemError) as exc:
-        raise ProblemSpecError(f"input: {exc}") from None
-
-    data_out = check_result_to_data(result)
+    result = theorem_check(RootSystem(roots, mults), args.c, args.q)
     if args.format == "json":
-        print(canonical_json(data_out))
+        print(canonical_json(vars(result)))
     else:
-        for key, value in data_out.items():
+        for key, value in vars(result).items():
             if isinstance(value, float):
                 value = format_float(value)
-            elif isinstance(value, list):
+            elif isinstance(value, tuple):
                 value = "[" + ", ".join(format_float(v) for v in value) + "]"
             print(f"{key}: {value}")
     return EXIT_OK if result.guaranteed else EXIT_NO_GUARANTEE
 
 
 def cmd_order(args) -> int:
-    spec = parse_problem(_read_input(args.input), _cli_config_overrides(args))
+    spec = parse_problem(_read_input(args.input))
     if spec.roots is None:
         raise ProblemSpecError(
             "input: order estimation needs the true roots; supply the "
@@ -448,26 +422,12 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
-def _cli_config_overrides(args) -> dict:
-    return {
-        "max_iterations": args.max_iter,
-        "step_tolerance": args.step_tol,
-        "residual_tolerance": args.res_tol,
-        "update_mode": args.mode,
-    }
-
-
-def _add_common_flags(parser, with_input=True, with_config=True):
+def _add_common_flags(parser, with_input=True):
     parser.add_argument("--format", choices=("json", "csv", "table"),
                         default="table", help="output format (default: table)")
     if with_input:
         parser.add_argument("--input", default=None,
                             help="problem JSON file (default: stdin)")
-    if with_config:
-        parser.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        parser.add_argument("--step-tol", type=float, default=None, dest="step_tol")
-        parser.add_argument("--res-tol", type=float, default=None, dest="res_tol")
-        parser.add_argument("--mode", choices=("total", "serial"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_demo = sub.add_parser("demo", help="run the built-in sextic demo problem")
-    _add_common_flags(p_demo, with_input=False, with_config=False)
+    _add_common_flags(p_demo, with_input=False)
     p_demo.set_defaults(func=cmd_demo)
 
     p_check = sub.add_parser("check-theorem",
                              help="evaluate the convergence guarantee")
-    _add_common_flags(p_check, with_config=False)
+    _add_common_flags(p_check)
     p_check.add_argument("--c", type=float, required=True,
                          help="initial-approximation radius constant")
     p_check.add_argument("--q", type=float, required=True,
@@ -504,8 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message, or the --help text
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

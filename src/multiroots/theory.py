@@ -36,8 +36,11 @@ STAGNATION_RATIO = 0.5
 MIN_USABLE_PAIRS = 3
 
 
-class TheoremConstants(Record):
-    """Constants of the guarantee inequality for one root system.
+class TheoremCheckResult(Record):
+    """The guarantee inequality's constants for one root system, its
+    left-hand side, the per-root margins ``alpha_i - lhs`` and the verdict.
+    The fields, in order, are the keys of ``multiroots check-theorem``'s
+    output.
 
     M and N are the growth factors
     ``M = (1 + c/(d-2c))**n - 1`` and ``N = (1 + n*(c/(d-2c))**2)**(n-1) - 1``;
@@ -51,19 +54,6 @@ class TheoremConstants(Record):
     n: int
     M: float
     N: float
-
-    def __init__(self, c: float, q: float, d: float, n: int, M: float,
-                 N: float) -> None:
-        set_field(self, "c", c)
-        set_field(self, "q", q)
-        set_field(self, "d", d)
-        set_field(self, "n", n)
-        set_field(self, "M", M)
-        set_field(self, "N", N)
-
-
-class TheoremCheckResult(Record):
-    constants: TheoremConstants
     lhs: float
     per_root_margin: tuple[float, ...]
     guaranteed: bool
@@ -71,13 +61,23 @@ class TheoremCheckResult(Record):
 
     def __init__(
         self,
-        constants: TheoremConstants,
+        c: float,
+        q: float,
+        d: float,
+        n: int,
+        M: float,
+        N: float,
         lhs: float,
         per_root_margin: tuple[float, ...],
         guaranteed: bool,
         reason: Optional[str] = None,
     ) -> None:
-        set_field(self, "constants", constants)
+        set_field(self, "c", c)
+        set_field(self, "q", q)
+        set_field(self, "d", d)
+        set_field(self, "n", n)
+        set_field(self, "M", M)
+        set_field(self, "N", N)
         set_field(self, "lhs", lhs)
         set_field(self, "per_root_margin", per_root_margin)
         set_field(self, "guaranteed", guaranteed)
@@ -109,41 +109,30 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
     d = separation(rs)
     n = rs.degree
     gap = d - 2.0 * c
-    if gap <= 0.0:
-        constants = TheoremConstants(c=c, q=q, d=d, n=n,
-                                     M=float("inf"), N=float("inf"))
-        return TheoremCheckResult(
-            constants=constants,
-            lhs=float("inf"),
-            per_root_margin=tuple(float("-inf") for _ in rs.multiplicities),
-            guaranteed=False,
-            reason=f"d - 2c = {gap:.6g} is not positive",
-        )
-
-    ratio = c / gap
-    big_m = _power_minus_one(1.0 + ratio, n)
-    big_n = _power_minus_one(1.0 + n * ratio * ratio, n - 1)
-    overflowed = math.isinf(big_m) or math.isinf(big_n)
-    if overflowed:
-        lhs = math.inf
-    else:
-        lhs = (2.0 * c * c * n / (gap * gap)) * (
-            ratio + (1.0 + ratio) * (big_n + big_m * big_n + big_m)
-        )
+    big_m = big_n = lhs = math.inf
+    overflowed = False
+    if gap > 0.0:
+        ratio = c / gap
+        big_m = _power_minus_one(1.0 + ratio, n)
+        big_n = _power_minus_one(1.0 + n * ratio * ratio, n - 1)
+        overflowed = math.isinf(big_m) or math.isinf(big_n)
+        if not overflowed:
+            lhs = (2.0 * c * c * n / (gap * gap)) * (
+                ratio + (1.0 + ratio) * (big_n + big_m * big_n + big_m)
+            )
     margins = tuple(a - lhs for a in rs.multiplicities)
-    constants = TheoremConstants(c=c, q=q, d=d, n=n, M=big_m, N=big_n)
 
-    if not q < 1.0:
-        return TheoremCheckResult(constants, lhs, margins, False,
-                                  reason=f"q = {q:.6g} is not below 1")
-    if min(margins) <= 0.0:
-        return TheoremCheckResult(
-            constants, lhs, margins, False,
-            reason=f"inequality fails: lhs = {lhs:.6g} reaches the smallest "
-                   f"multiplicity {min(rs.multiplicities)}"
-                   + (" (M or N overflows binary64)" if overflowed else ""),
-        )
-    return TheoremCheckResult(constants, lhs, margins, True)
+    reason = None
+    if not gap > 0.0:
+        reason = f"d - 2c = {gap:.6g} is not positive"
+    elif not q < 1.0:
+        reason = f"q = {q:.6g} is not below 1"
+    elif min(margins) <= 0.0:
+        reason = (f"inequality fails: lhs = {lhs:.6g} reaches the smallest "
+                  f"multiplicity {min(rs.multiplicities)}"
+                  + (" (M or N overflows binary64)" if overflowed else ""))
+    return TheoremCheckResult(c, q, d, n, big_m, big_n, lhs, margins,
+                              reason is None, reason)
 
 
 def _power_minus_one(base: float, exponent: int) -> float:

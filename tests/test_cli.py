@@ -187,11 +187,10 @@ class TestSolveCommand:
         assert json.loads(out)["status"] == "Collision"
 
     def test_max_iterations_exits_two(self, capsys, monkeypatch):
-        code, out, _ = run_main(
-            capsys, ["solve", "--format", "json", "--max-iter", "1",
-                     "--res-tol", "1e-26"],
-            json.dumps(DEMO_PROBLEM), monkeypatch,
-        )
+        doc = dict(DEMO_PROBLEM, config={"max_iterations": 1,
+                                         "residual_tolerance": 1e-26})
+        code, out, _ = run_main(capsys, ["solve", "--format", "json"],
+                                json.dumps(doc), monkeypatch)
         assert code == EXIT_MAX_ITERATIONS
         assert json.loads(out)["status"] == "MaxIterations"
 
@@ -252,6 +251,15 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("input: bad config: ")
 
+    @pytest.mark.parametrize("command", ["solve", "order", "check-theorem"])
+    def test_deeply_nested_document_exits_one(self, capsys, monkeypatch, command):
+        argv = [command] + (["--c", "0.1", "--q", "0.5"]
+                            if command == "check-theorem" else [])
+        code, out, err = run_main(capsys, argv, "[" * 100_000, monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "input: arrays or objects nest too deeply\n"
+
     def test_collision_threshold_is_an_unknown_field(self, capsys, monkeypatch):
         # collisions follow one fixed rule; no document can set it
         doc = dict(DEMO_PROBLEM, config={"collision_threshold": 1e-12})
@@ -260,13 +268,44 @@ class TestSolveCommand:
         assert out == ""
         assert err == "input: unknown config fields ['collision_threshold']\n"
 
-    def test_mode_flag_selects_serial(self, capsys, monkeypatch):
-        code, out, _ = run_main(
-            capsys, ["solve", "--format", "json", "--mode", "serial"],
-            json.dumps(DEMO_PROBLEM), monkeypatch,
-        )
+    def test_config_update_mode_selects_serial(self, capsys, monkeypatch):
+        doc = dict(DEMO_PROBLEM, config=dict(DEMO_PROBLEM["config"],
+                                             update_mode="serial"))
+        code, out, _ = run_main(capsys, ["solve", "--format", "json"],
+                                json.dumps(doc), monkeypatch)
         assert code == EXIT_OK
         assert json.loads(out)["status"] == "Converged"
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["solve", "--format", "xml"],
+        ["check-theorem", "--c", "0.1"],
+        ["check-theorem", "--c", "x", "--q", "0.5"],
+        # the solver is configured only by the document's "config" object
+        ["solve", "--max-iter", "2.5"],
+        ["solve", "--max-iter", "1"],
+        ["solve", "--step-tol", "1e-15"],
+        ["solve", "--res-tol", "1e-26"],
+        ["solve", "--mode", "serial"],
+        ["order", "--mode", "serial"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_usage_error_exits_one(self, capsys, monkeypatch, argv):
+        code, out, err = run_main(capsys, argv, json.dumps(DEMO_PROBLEM),
+                                  monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("usage: multiroots")
+        assert "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]],
+                             ids=" ".join)
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == EXIT_OK
+        assert out.startswith("usage: multiroots")
+        assert err == ""
 
 
 class TestDemoCommand:

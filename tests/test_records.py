@@ -28,7 +28,6 @@ from multiroots.cli import (
     ProblemSpec,
     parse_problem,
 )
-from multiroots.theory import TheoremConstants
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
 
@@ -40,9 +39,8 @@ SIGNATURES = {
     SolveReport: ["status", "final", "iterations_used", "trace"],
     MonicPolynomial: ["low_coefficients"],
     RootSystem: ["roots", "multiplicities"],
-    TheoremConstants: ["c", "q", "d", "n", "M", "N"],
-    TheoremCheckResult: ["constants", "lhs", "per_root_margin", "guaranteed",
-                         "reason"],
+    TheoremCheckResult: ["c", "q", "d", "n", "M", "N", "lhs",
+                         "per_root_margin", "guaranteed", "reason"],
     ProblemSpec: ["poly", "multiplicities", "initial", "config", "roots"],
 }
 
@@ -66,7 +64,6 @@ def one_of_each():
         report,
         poly,
         rs,
-        check.constants,
         check,
         spec,
     ]
@@ -89,7 +86,10 @@ def test_construction_by_position_and_keyword():
     record = TraceRecord(0, (1j,), (0.5,), None, (False,))
     assert record == TraceRecord(k=0, values=(1j,), residuals=(0.5,),
                                  steps=None, frozen=(False,))
-    assert TheoremConstants(0.1, 0.5, 2.0, 6, 1.0, 2.0).M == 1.0
+    check = TheoremCheckResult(0.1, 0.5, 2.0, 6, 1.0, 2.0, 0.1, (1.0,), True)
+    assert check == TheoremCheckResult(
+        c=0.1, q=0.5, d=2.0, n=6, M=1.0, N=2.0, lhs=0.1,
+        per_root_margin=(1.0,), guaranteed=True)
 
 
 def test_defaults():
@@ -97,8 +97,8 @@ def test_defaults():
     assert (cfg.max_iterations, cfg.step_tolerance, cfg.residual_tolerance,
             cfg.update_mode) == (100, 1e-14, 1e-12, UpdateMode.TOTAL_STEP)
     assert SolveConfig(max_iterations=5).step_tolerance == 1e-14
-    consts = TheoremConstants(0.1, 0.5, 2.0, 6, 1.0, 2.0)
-    assert TheoremCheckResult(consts, 0.1, (1.0,), True).reason is None
+    assert TheoremCheckResult(0.1, 0.5, 2.0, 6, 1.0, 2.0, 0.1, (1.0,),
+                              True).reason is None
     spec = ProblemSpec(MonicPolynomial((1,)), (1,), (0.5,), SolveConfig())
     assert spec.roots is None
 
@@ -162,11 +162,10 @@ def test_repr():
         "RootSystem(roots=((1+0j), 2j), multiplicities=(2, 1))"
     assert repr(theorem_check(RootSystem(DEMO_ROOTS, DEMO_MULTIPLICITIES),
                               0.1, 0.5)) == (
-        "TheoremCheckResult(constants=TheoremConstants(c=0.1, q=0.5, d=2.0, "
-        "n=6, M=0.38320507944437887, N=0.09608604465483017), "
-        "lhs=0.02223482284983237, per_root_margin=(1.9777651771501676, "
-        "0.9777651771501676, 2.9777651771501676), guaranteed=True, "
-        "reason=None)"
+        "TheoremCheckResult(c=0.1, q=0.5, d=2.0, n=6, M=0.38320507944437887, "
+        "N=0.09608604465483017, lhs=0.02223482284983237, "
+        "per_root_margin=(1.9777651771501676, 0.9777651771501676, "
+        "2.9777651771501676), guaranteed=True, reason=None)"
     )
     report = demo_report()
     # Exact evaluation lands the demo on its roots exactly.

@@ -49,13 +49,13 @@ class TestTheoremCheck:
         result = theorem_check(demo_system, 0.01, 0.5)
         assert result.guaranteed
         assert result.reason is None
-        assert result.constants.d == 2.0
-        assert result.constants.n == 6
+        assert result.d == 2.0
+        assert result.n == 6
         m_exact, n_exact, lhs_exact = exact_guarantee_lhs(
             Fraction(1, 100), Fraction(2), 6
         )
-        assert result.constants.M == pytest.approx(float(m_exact), rel=1e-13)
-        assert result.constants.N == pytest.approx(float(n_exact), rel=1e-13)
+        assert result.M == pytest.approx(float(m_exact), rel=1e-13)
+        assert result.N == pytest.approx(float(n_exact), rel=1e-13)
         assert result.lhs == pytest.approx(float(lhs_exact), rel=1e-13)
         assert result.lhs < 1  # far below the smallest multiplicity
         for margin, alpha in zip(result.per_root_margin, DEMO_MULTS):
@@ -72,9 +72,15 @@ class TestTheoremCheck:
         result = theorem_check(RootSystem((0, 1), (300, 300)), 0.45, 0.5)
         assert not result.guaranteed
         assert "overflows" in result.reason
-        assert math.isinf(result.constants.M) and math.isinf(result.constants.N)
+        assert math.isinf(result.M) and math.isinf(result.N)
         assert result.lhs == math.inf
         assert result.per_root_margin == (-math.inf, -math.inf)
+
+    def test_nan_gap_fails(self):
+        # d overflows to inf and c is inf, so d - 2c is NaN
+        result = theorem_check(RootSystem((1e308, -1e308), (1, 1)), math.inf, 0.5)
+        assert not result.guaranteed
+        assert result.reason == "d - 2c = nan is not positive"
 
     def test_q_one_fails(self, demo_system):
         result = theorem_check(demo_system, 0.01, 1.0)
