@@ -52,8 +52,12 @@ class UpdateMode(enum.Enum):
     makes ``2a - 1``, one more for each component that has moved.  `solve`
     then evaluates the ``a`` updated components once more for their
     residuals and carries the residual of each frozen one, so one of its
-    sweeps costs ``2a`` evaluations in TOTAL_STEP mode and ``3a - 1`` in
-    SERIAL mode.
+    sweeps costs ``2a`` evaluation calls in TOTAL_STEP mode and ``3a - 1``
+    in SERIAL mode.  A call at a point evaluated before in the solve (the
+    next sweep's call at each residual's point, a serial sweep's residual
+    call at a moved component, a component that did not move) returns the
+    pair `eval_with_derivative` kept for it, at the cost of a lookup; so a
+    solve makes one Horner pass per distinct point.
 
     Both step kinds run on one deflation kernel (the simple-root step is
     the generalized one's with every multiplicity 1), and one loop drives
@@ -639,12 +643,13 @@ def solve(
     sweep, before the iteration budget, so a run that converges on its
     last allowed sweep reports Converged.
 
-    The starting vector costs ``m`` evaluations.  A sweep with ``a``
-    components active costs its step's evaluations (see `UpdateMode`)
-    plus ``a`` for the residuals of the updated components.  A frozen
-    component is copied through the sweep bitwise unchanged, so its
-    residual is carried from the record before instead of evaluated
-    again.
+    The starting vector costs ``m`` evaluation calls.  A sweep with ``a``
+    components active costs its step's calls (see `UpdateMode`) plus ``a``
+    for the residuals of the updated components.  A frozen component is
+    copied through the sweep bitwise unchanged, so its residual is carried
+    from the record before instead of evaluated again.  Only a call at a
+    new point costs a Horner pass; a repeated point costs a lookup of the
+    pair kept by `eval_with_derivative`.
 
     Parameters
     ----------

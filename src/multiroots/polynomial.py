@@ -13,13 +13,22 @@ from .errors import NonFiniteError
 #: bounds the width of its integers.
 _GRID_BITS = 110
 
-#: (polynomial, F, [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n]) for the
-#: polynomial `eval_with_derivative` saw last, with the least F >= 0 that
-#: makes these integers.  A solve evaluates one polynomial many times in a
-#: row, so this one entry saves converting the coefficients on each call; a
-#: cache on every polynomial would cost several hundred bytes each.  The
-#: entry is replaced, never changed, so concurrent callers see a whole one.
-_last_scaled = (None, 0, [])
+#: (polynomial, F, [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n], recent, older)
+#: for the polynomial `eval_with_derivative` saw last, with the least F >= 0
+#: that makes these integers.  A solve evaluates one polynomial many times in
+#: a row, so this one entry saves converting the coefficients on each call; a
+#: cache on every polynomial would cost several hundred bytes each.  The two
+#: dicts map a point z to its (A, A') pair: a solve evaluates each new
+#: iterate for its residual and the next sweep evaluates it again, and such a
+#: repeat costs a lookup instead of a Horner pass.  A pair is added to
+#: ``recent``; when ``recent`` holds 2n pairs the entry is replaced by one
+#: whose ``recent`` is empty and whose ``older`` is the full one, so at most
+#: 4n pairs are kept and each survives at least 2n further new points (a
+#: solve reuses a point within 2m <= 2n of them).  The tuple is replaced,
+#: never changed, so concurrent callers see a whole one; its dicts are only
+#: read and added to, never iterated, and a pair depends on the polynomial
+#: and z alone, so a lost or duplicated addition costs a Horner pass at most.
+_last_scaled = (None, 0, [], {}, {})
 
 
 def is_finite(z: complex) -> bool:
@@ -89,6 +98,14 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     1.6 ms at |z| ~ 1e-100 and 2.7 ms at subnormal z; the cost grows with
     the square of the degree (CPython 3.11, shared Xeon).
 
+    That Horner pass is made once per point: the pairs of the last 2n to
+    4n new points are kept for the polynomial evaluated last, so a call at
+    a point equal (under ``==``) to one of them returns the kept pair, the
+    same bits, for the cost of a dictionary lookup (under 1 us).  A solve
+    evaluates each iterate for its residual and again in the next sweep;
+    the second call is such a lookup.  Evaluating another polynomial drops
+    the kept pairs.
+
     Parameters
     ----------
     poly : MonicPolynomial
@@ -108,17 +125,35 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     global _last_scaled
     zc = complex(z)
     require_finite(zc, "evaluation point")
-    x, y = zc.real, zc.imag
+    scaled = _last_scaled
+    if scaled[0] is not poly:
+        scaled = _last_scaled = (poly, *dyadic_integers(
+            [p for c in poly.low_coefficients for p in (c.real, c.imag)]), {}, {})
+    _, f, ints, recent, older = scaled
+    pair = recent.get(zc) or older.get(zc)
+    if pair is None:
+        try:
+            pair = _exact_pair(f, ints, zc.real, zc.imag)
+        except OverflowError:
+            raise NonFiniteError(
+                f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"
+            ) from None
+        if len(recent) >= 2 * poly.degree:
+            recent, older = {}, recent
+            _last_scaled = (poly, f, ints, recent, older)
+        recent[zc] = pair
+    return pair
+
+
+def _exact_pair(f, ints, x, y):
+    # One Horner pass: (A(z'), A'(z')) for the coefficients ``ints`` over
+    # 2^f, each part rounded once; raises OverflowError when a part is
+    # beyond binary64.  See `eval_with_derivative`.
     e, (zr, zi) = dyadic_integers((x, y))
     grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
     if e > grid:  # a part has bits below the grid: evaluate at z'
         e, (zr, zi) = dyadic_integers(
             [ldexp(round(ldexp(p, grid)), -grid) for p in (x, y)])
-    scaled = _last_scaled
-    if scaled[0] is not poly:
-        scaled = _last_scaled = (poly, *dyadic_integers(
-            [p for c in poly.low_coefficients for p in (c.real, c.imag)]))
-    _, f, ints = scaled
     vr, vi, dr, di = 1 << f, 0, 0, 0
     shift = 0
     for cr, ci in zip(ints[0::2], ints[1::2]):
@@ -126,13 +161,8 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
         dr, di = dr * zr - di * zi + vr, dr * zi + di * zr + vi
         vr, vi = vr * zr - vi * zi + (cr << shift), vr * zi + vi * zr + (ci << shift)
     value_scale, deriv_scale = 1 << (f + shift), 1 << (f + shift - e)
-    try:
-        return (complex(vr / value_scale, vi / value_scale),
-                complex(dr / deriv_scale, di / deriv_scale))
-    except OverflowError:
-        raise NonFiniteError(
-            f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"
-        ) from None
+    return (complex(vr / value_scale, vi / value_scale),
+            complex(dr / deriv_scale, di / deriv_scale))
 
 
 def integer_power(base: complex, exponent: int) -> complex:

@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from multiroots import (
     s_value,
     solve,
 )
-from multiroots import iteration
+from multiroots import iteration, polynomial
 from multiroots.iteration import build_step_workspace, q_product
 from multiroots.polynomial import integer_power, require_finite
 from multiroots.rootsystem import _collision_limit
@@ -37,7 +39,7 @@ from conftest import (
     gaussian_integer_system,
     perturbed,
 )
-from test_golden_traces import RING_CONFIG, ring_problem
+from test_golden_traces import RING_CONFIG, ring_problem, trace_digest
 
 
 def bits(z: complex) -> bytes:
@@ -907,25 +909,32 @@ class TestSolve:
 
         def logged(name, fn):
             def wrapper(*args):
-                ledger.append(name)
+                ledger.append((name, args))
                 return fn(*args)
             return wrapper
 
         monkeypatch.setattr(iteration, "eval_with_derivative",
                             logged("eval", iteration.eval_with_derivative))
+        monkeypatch.setattr(polynomial, "_exact_pair",
+                            logged("pass", polynomial._exact_pair))
         for step in ("gek_step", "ek_step"):
             monkeypatch.setattr(iteration, step,
                                 logged("sweep", getattr(iteration, step)))
         cfg = SolveConfig(update_mode=mode, **RING_CONFIG)
         report = solve(poly, mults, initial, cfg, use_simple_step=kind == "ek")
         assert report.status is SolveStatus.CONVERGED
+        # every call is still made, but only a new point costs a Horner
+        # pass: a repeated one returns the pair kept for it
+        points = [args[1] for name, args in ledger if name == "eval"]
+        passes = sum(name == "pass" for name, _ in ledger)
+        assert passes == len(set(points)) < len(points)
 
         # evaluations before the first sweep, then within each sweep
         counts = [0]
-        for entry in ledger:
-            if entry == "sweep":
+        for name, _ in ledger:
+            if name == "sweep":
                 counts.append(0)
-            else:
+            elif name == "eval":
                 counts[-1] += 1
         assert len(counts) == report.iterations_used + 1
         assert counts[0] == m
@@ -982,3 +991,41 @@ class TestRemarkEquivalence:
             for a, b in zip(g, e):
                 assert abs(a - b) <= 1e-10 * max(abs(b), 1e-300)
             checked += 1
+
+
+class TestConcurrentSolves:
+    def test_threads_get_the_sequential_reports(self):
+        # `eval_with_derivative` keeps the pairs of the polynomial evaluated
+        # last in module state.  Four threads (more than the two cores of a
+        # small machine) solve two polynomials interleaved, and one shared
+        # polynomial, with a short switch interval so that they switch
+        # inside evaluations; every report must equal its sequential twin.
+        problems = [
+            (*ring_problem(3, (2, 1, 1), seed=301), UpdateMode.TOTAL_STEP),
+            (*ring_problem(3, (1, 2, 1), seed=302), UpdateMode.SERIAL),
+        ]
+
+        def run(problem):
+            poly, mults, initial, mode = problem
+            return solve(poly, mults, initial,
+                         SolveConfig(update_mode=mode, **RING_CONFIG))
+
+        twins = [run(problem) for problem in problems]
+        assert all(t.status is SolveStatus.CONVERGED for t in twins)
+        schedules = ([0, 1] * 8, [1, 0] * 8, [0] * 16, [0] * 16)
+
+        def worker(schedule):
+            return [(k, run(problems[k])) for k in schedule]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(schedules)) as pool:
+                futures = [pool.submit(worker, s) for s in schedules]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(map(len, results)) == sum(map(len, schedules))
+        for k, report in (pair for result in results for pair in result):
+            assert report == twins[k]
+            assert trace_digest(report) == trace_digest(twins[k])

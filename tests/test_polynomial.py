@@ -1,3 +1,6 @@
+import contextlib
+import math
+import pickle
 import random
 import struct
 from fractions import Fraction
@@ -5,8 +8,10 @@ from math import ldexp
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multiroots import MonicPolynomial, NonFiniteError, eval_with_derivative
+from multiroots import polynomial
 from multiroots.polynomial import integer_power
 
 # Expansion of (x+2)^2 (x-1) (x-3)^3; every coefficient is an exact
@@ -318,6 +323,142 @@ class TestMatchesExactOracle:
             f"(degree {poly.degree})"
         )
         assert outcome(oracle_eval, poly, z) == "overflow"
+
+
+# The point memo.  `eval_with_derivative` keeps the (A, A') pairs of recent
+# points of the polynomial it evaluated last; these tests reset it to see a
+# cold evaluation and count Horner passes through `_exact_pair`.
+
+def reset_memo():
+    polynomial._last_scaled = (None, 0, [], {}, {})
+
+
+@contextlib.contextmanager
+def counted_passes():
+    """Yield a list that gets one entry per Horner pass made inside."""
+    passes = []
+    horner_pass = polynomial._exact_pair
+
+    def counted(*args):
+        passes.append(args)
+        return horner_pass(*args)
+
+    polynomial._exact_pair = counted
+    try:
+        yield passes
+    finally:
+        polynomial._exact_pair = horner_pass
+
+
+def kept_pairs():
+    return sum(len(kept) for kept in polynomial._last_scaled[3:])
+
+
+def cold_outcome(poly, z):
+    reset_memo()
+    return outcome(eval_with_derivative, poly, z)
+
+
+def equal_twin(z):
+    """z with the sign of each zero part flipped: equal under ==, other bits."""
+    flip = [math.copysign(0.0, -math.copysign(1.0, p)) if p == 0 else p
+            for p in (z.real, z.imag)]
+    return complex(*flip)
+
+
+def either_sign(magnitudes):
+    return st.builds(lambda p, negative: -p if negative else p,
+                     magnitudes, st.booleans())
+
+
+moderate_parts = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0]))
+# tiny parts are rounded by the 2^-110 grid; large ones overflow at degree >= 2
+point_parts = st.one_of(moderate_parts,
+                        either_sign(st.floats(5e-324, 1e-200)),
+                        either_sign(st.floats(1e100, 1.7e308)))
+memo_points = st.builds(complex, point_parts, point_parts)
+memo_polys = st.lists(st.builds(complex, moderate_parts, moderate_parts),
+                      min_size=1, max_size=8).map(MonicPolynomial)
+
+
+class TestPointMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(poly=memo_polys, z=memo_points)
+    @example(poly=SEXTIC, z=complex(1.3, 1e-300))
+    @example(poly=SEXTIC, z=complex(-0.0, 0.0))
+    @example(poly=SEXTIC, z=complex(2.0 ** 1000, -0.0))
+    def test_hit_has_the_bits_of_a_cold_evaluation(self, poly, z):
+        # The grid point of z (tiny parts dropped) first, so a grid-rounded
+        # z follows an evaluation at the point it is rounded to; then z,
+        # its signed-zero twin and z again, which hit the memo.
+        grid_point = complex(*(p if abs(p) > 1e-200 else 0.0 for p in (z.real, z.imag)))
+        sequence = [grid_point, z, equal_twin(z), z]
+        reset_memo()
+        with counted_passes() as passes:
+            warm = [outcome(eval_with_derivative, poly, w) for w in sequence]
+        cold = [cold_outcome(poly, w) for w in sequence]
+        assert warm == cold
+        # a pass for each call at a point no earlier call kept: an overflow
+        # is never kept, so each call at such a point makes its own pass
+        kept = []
+        expected = 0
+        for w, got in zip(sequence, warm):
+            if w not in kept:
+                expected += 1
+                if got != "overflow":
+                    kept.append(w)
+        assert len(passes) == expected
+
+    def test_overflowing_point_raises_on_every_call(self):
+        poly = MonicPolynomial((0.0, 1.7e308))
+        reset_memo()
+        with counted_passes() as passes:
+            for _ in range(3):
+                with pytest.raises(NonFiniteError, match="overflowed"):
+                    eval_with_derivative(poly, 1e154)
+        assert len(passes) == 3
+        assert kept_pairs() == 0
+
+    @pytest.mark.parametrize("degree", [1, 3, 12])
+    def test_bounded_to_four_n_pairs(self, degree):
+        rng = random.Random(degree)
+        poly = MonicPolynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                for _ in range(degree)])
+        points = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                  for _ in range(10 * degree)]
+        reset_memo()
+        for k, z in enumerate(points, start=1):
+            eval_with_derivative(poly, z)
+            assert kept_pairs() <= 4 * degree
+            assert kept_pairs() >= min(k, 2 * degree)
+        # the last 2n points are still kept, bit for bit
+        with counted_passes() as passes:
+            for z in points[-2 * degree:]:
+                eval_with_derivative(poly, z)
+        assert passes == []
+
+    def test_another_polynomial_drops_the_kept_pairs(self):
+        other = MonicPolynomial((1.5, -0.25j, 3.0))
+        reset_memo()
+        for z in (0.5, 1.25j, -2.0):
+            eval_with_derivative(SEXTIC, z)
+        assert kept_pairs() == 3
+        eval_with_derivative(other, 0.5)
+        assert polynomial._last_scaled[0] is other
+        assert kept_pairs() == 1
+        with counted_passes() as passes:
+            eval_with_derivative(SEXTIC, 0.5)
+        assert len(passes) == 1
+
+    def test_polynomial_equality_hash_and_repr_ignore_the_memo(self):
+        twin = MonicPolynomial(SEXTIC.low_coefficients)
+        before = (vars(SEXTIC).copy(), hash(SEXTIC), repr(SEXTIC), pickle.dumps(SEXTIC))
+        reset_memo()
+        eval_with_derivative(SEXTIC, 0.5)
+        assert (vars(SEXTIC), hash(SEXTIC), repr(SEXTIC), pickle.dumps(SEXTIC)) == before
+        assert list(vars(SEXTIC)) == ["low_coefficients"]
+        assert SEXTIC == twin and hash(SEXTIC) == hash(twin)
+        assert repr(SEXTIC) == repr(twin)
 
 
 def _is_normal_or_zero(x):
