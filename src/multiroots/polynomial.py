@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from math import frexp, ldexp
+from math import frexp, hypot, ldexp
+from struct import Struct
 
 from ._record import Record, set_field
 from .errors import NonFiniteError
@@ -13,10 +14,19 @@ from .errors import NonFiniteError
 #: bounds the width of its integers.
 _GRID_BITS = 110
 
-#: (polynomial, F, [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n], recent, older)
-#: for the polynomial `eval_with_derivative` saw last, with the least F >= 0
-#: that makes these integers.  A solve evaluates one polynomial many times in
-#: a row, so this one entry saves converting the coefficients on each call; a
+#: The fixed-grid pass of `eval_with_derivative` keeps its values about this
+#: many bits (P) below Sum |a_k| |z'|^(n-k), and runs when n^2 E reaches
+#: _FIXED_GRID_WORK, where it costs less than the exact pass.
+_FIXED_GRID_BITS = 256
+_FIXED_GRID_WORK = 3 * 2 ** 13
+
+_bits = Struct("<4d").pack
+
+#: (polynomial, F, [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n], sizes, recent,
+#: older) for the polynomial `eval_with_derivative` saw last, with the least
+#: F >= 0 that makes these integers and sizes[k-1] = max(|Re a_k|, |Im a_k|)
+#: for the fixed-grid pass.  A solve evaluates one polynomial many times in a
+#: row, so this one entry saves converting the coefficients on each call; a
 #: cache on every polynomial would cost several hundred bytes each.  The two
 #: dicts map a point z to its (A, A') pair: a solve evaluates each new
 #: iterate for its residual and the next sweep evaluates it again, and such a
@@ -28,7 +38,7 @@ _GRID_BITS = 110
 #: never changed, so concurrent callers see a whole one; its dicts are only
 #: read and added to, never iterated, and a pair depends on the polynomial
 #: and z alone, so a lost or duplicated addition costs a Horner pass at most.
-_last_scaled = (None, 0, [], {}, {})
+_last_scaled = (None, 0, [], [], {}, {})
 
 
 def is_finite(z: complex) -> bool:
@@ -90,13 +100,29 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     2^min(0, e - 110) (ties to even), where 2^(e-1) <= max(|Re z|, |Im z|)
     < 2^e.  Only a part below 2^(e-58) can move, and |z' - z| <= 2^-110 |z|;
     so z' = z unless one part is more than 2^57 times the other, and
-    1.3 + 1e-300j evaluates at 1.3.  Each Horner step widens the integers
-    by about max(bits of z' 2^E, E).  The rounding keeps the first within
-    110 bits for |z| < 2^110, but E grows without bound as |z| goes to 0
-    (E = 1074 at 5e-324), so small points cost more.  A dense degree-6
-    call takes about 9 us and a degree-96 call about 270 us at |z| ~ 1,
-    1.6 ms at |z| ~ 1e-100 and 2.7 ms at subnormal z; the cost grows with
-    the square of the degree (CPython 3.11, shared Xeon).
+    1.3 + 1e-300j evaluates at 1.3.
+
+    That exact pass widens its integers by about E bits per step, so it
+    costs O(n^2 E): E is about 53 at |z| ~ 1 and 1074 at subnormal z.  When
+    n^2 E >= 3 * 2^13 (n >= 22 at |z| ~ 1, n >= 5 at subnormal z), a
+    fixed-grid pass runs first (Ziv's strategy).  It runs Horner at the
+    same z' on integers kept on the grid 2^-G, with G chosen so that the
+    values keep about P = 256 bits below Sum |a_k| |z'|^(n-k); each step
+    floors the product by 2^E, coefficient bits below the grid are dropped,
+    and a rigorous bound on the error of A and of A' is carried.  Each part
+    is rounded at both ends of its error interval, and the pair is returned
+    only if every part gives the same binary64 number, sign of zero
+    included: rounding is monotone, so that is the exact pass's number.
+    Otherwise the exact pass runs, for 2-8% of the fixed-grid passes of the
+    wide benchmark solves: where a part cancels below about 2^-200 of its
+    terms (near a multiple root) or is exactly 0 (as at an iterate on a
+    root).  So every result has the exact pass's bits.  Per call at a new
+    point, dense coefficients, in us, as two-stage / exact pass alone at
+    |z| ~ 1, |z| ~ 1e-100 and subnormal z (median of 3 runs on a shared
+    Xeon, CPython 3.11; runs scatter by +-30%): degree 6, 18 / 18,
+    26 / 26, 24 / 38 (only the last uses the fixed grid); degree 24,
+    62 / 71, 59 / 215, 57 / 389; degree 48, 112 / 186, 105 / 708,
+    101 / 1257; degree 96, 205 / 508, 173 / 1568, 108 / 2819.
 
     That Horner pass is made once per point: the pairs of the last 2n to
     4n new points are kept for the polynomial evaluated last, so a call at
@@ -127,33 +153,48 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     require_finite(zc, "evaluation point")
     scaled = _last_scaled
     if scaled[0] is not poly:
-        scaled = _last_scaled = (poly, *dyadic_integers(
-            [p for c in poly.low_coefficients for p in (c.real, c.imag)]), {}, {})
-    _, f, ints, recent, older = scaled
+        coeffs = poly.low_coefficients
+        scaled = _last_scaled = (
+            poly, *dyadic_integers([p for c in coeffs for p in (c.real, c.imag)]),
+            [max(abs(c.real), abs(c.imag)) for c in coeffs], {}, {})
+    _, f, ints, sizes, recent, older = scaled
     pair = recent.get(zc) or older.get(zc)
     if pair is None:
         try:
-            pair = _exact_pair(f, ints, zc.real, zc.imag)
+            pair = _horner_pair(f, ints, sizes, zc.real, zc.imag)
         except OverflowError:
             raise NonFiniteError(
                 f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"
             ) from None
         if len(recent) >= 2 * poly.degree:
             recent, older = {}, recent
-            _last_scaled = (poly, f, ints, recent, older)
+            _last_scaled = (poly, f, ints, sizes, recent, older)
         recent[zc] = pair
     return pair
 
 
-def _exact_pair(f, ints, x, y):
-    # One Horner pass: (A(z'), A'(z')) for the coefficients ``ints`` over
-    # 2^f, each part rounded once; raises OverflowError when a part is
-    # beyond binary64.  See `eval_with_derivative`.
+def _horner_pair(f, ints, sizes, x, y):
+    # (A(z'), A'(z')) for the coefficients ``ints`` over 2^f, each part
+    # rounded once, from the fixed-grid pass where it is used and its
+    # rounding test passes, else from the exact pass; raises OverflowError
+    # when a part is beyond binary64.  See `eval_with_derivative`.
     e, (zr, zi) = dyadic_integers((x, y))
     grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
     if e > grid:  # a part has bits below the grid: evaluate at z'
         e, (zr, zi) = dyadic_integers(
             [ldexp(round(ldexp(p, grid)), -grid) for p in (x, y)])
+    if len(sizes) ** 2 * e >= _FIXED_GRID_WORK:
+        try:
+            pair = _fixed_grid_pair(f, ints, sizes, e, zr, zi)
+        except OverflowError:  # the exact pass tells whether it overflows
+            pair = None
+        if pair is not None:
+            return pair
+    return _exact_pair(f, ints, e, zr, zi)
+
+
+def _exact_pair(f, ints, e, zr, zi):
+    # The pair at z' = (zr + i zi) / 2^e from one exact Horner pass.
     vr, vi, dr, di = 1 << f, 0, 0, 0
     shift = 0
     for cr, ci in zip(ints[0::2], ints[1::2]):
@@ -163,6 +204,40 @@ def _exact_pair(f, ints, x, y):
     value_scale, deriv_scale = 1 << (f + shift), 1 << (f + shift - e)
     return (complex(vr / value_scale, vi / value_scale),
             complex(dr / deriv_scale, di / deriv_scale))
+
+
+def _fixed_grid_pair(f, ints, sizes, e, zr, zi):
+    # The same pair from Horner on the grid 2^-g, or None when an error
+    # interval does not round to one binary64 number.  In units of 2^-g,
+    # each step's floors add an error below 2 per part (one for the
+    # product, one for a coefficient truncated to the grid), so below 3 in
+    # modulus, and every earlier error grows by |z'| per step: with
+    # s = n max(1, |z'|)^(n-1), A's error is below 3s and A''s, whose steps
+    # add one floor and A's error, below s (2 + 3s).  These are exact
+    # integers while |z'| (1 + 2^-40) <= 1; above, that factor covers the
+    # rounding of |z'|, of the power and of the products.
+    r = ldexp(hypot(zr, zi), -e)
+    size = 1.0
+    for a in sizes:  # at least 2^-0.5 Sum |a_k| |z'|^(n-k)
+        size = size * r + a
+    g = max(0, _FIXED_GRID_BITS - frexp(size)[1])
+    t = g + e - f
+    cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
+    vr, vi, dr, di = 1 << g, 0, 0, 0
+    for cr, ci in zip(cs[0::2], cs[1::2]):
+        dr, di = ((dr * zr - di * zi) >> e) + vr, ((dr * zi + di * zr) >> e) + vi
+        vr, vi = (vr * zr - vi * zi + cr) >> e, (vr * zi + vi * zr + ci) >> e
+    s = len(sizes) * max(1.0, r * (1 + 2.0 ** -40)) ** (len(sizes) - 1)
+    bv, bd = int(3 * s) + 1, int(s * (2 + 3 * s)) + 1
+    # with z' and every coefficient real, both imaginary parts are exactly 0
+    bvi, bdi = (bv, bd) if zi or any(ints[1::2]) else (0, 0)
+    scale = 1 << g
+    low = ((vr - bv) / scale, (vi - bvi) / scale,
+           (dr - bd) / scale, (di - bdi) / scale)
+    if _bits(*low) != _bits((vr + bv) / scale, (vi + bvi) / scale,
+                            (dr + bd) / scale, (di + bdi) / scale):
+        return None
+    return complex(low[0], low[1]), complex(low[2], low[3])
 
 
 def integer_power(base: complex, exponent: int) -> complex:

@@ -915,8 +915,8 @@ class TestSolve:
 
         monkeypatch.setattr(iteration, "eval_with_derivative",
                             logged("eval", iteration.eval_with_derivative))
-        monkeypatch.setattr(polynomial, "_exact_pair",
-                            logged("pass", polynomial._exact_pair))
+        monkeypatch.setattr(polynomial, "_horner_pair",
+                            logged("pass", polynomial._horner_pair))
         for step in ("gek_step", "ek_step"):
             monkeypatch.setattr(iteration, step,
                                 logged("sweep", getattr(iteration, step)))

@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import struct
+from collections import Counter
 from fractions import Fraction
 from math import ldexp
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multiroots import MonicPolynomial, NonFiniteError, eval_with_derivative
+from multiroots import (MonicPolynomial, NonFiniteError, RootSystem,
+                        eval_with_derivative, poly_from_roots)
 from multiroots import polynomial
 from multiroots.polynomial import integer_power
 
@@ -327,31 +329,38 @@ class TestMatchesExactOracle:
 
 # The point memo.  `eval_with_derivative` keeps the (A, A') pairs of recent
 # points of the polynomial it evaluated last; these tests reset it to see a
-# cold evaluation and count Horner passes through `_exact_pair`.
+# cold evaluation and count Horner passes through `_horner_pair`, the one
+# function a call that misses the memo makes (its exact pass runs only when
+# the fixed-grid pass is not used or cannot decide the rounding).
 
 def reset_memo():
-    polynomial._last_scaled = (None, 0, [], {}, {})
+    polynomial._last_scaled = (None, 0, [], [], {}, {})
 
 
 @contextlib.contextmanager
-def counted_passes():
-    """Yield a list that gets one entry per Horner pass made inside."""
+def counted_passes(name="_horner_pair", fixed_grid_everywhere=False):
+    """Yield a list that gets one entry per call of ``polynomial.<name>``
+    made inside (by default one per Horner pass); with
+    ``fixed_grid_everywhere``, the fixed-grid pass is tried at every point."""
     passes = []
-    horner_pass = polynomial._exact_pair
+    saved = getattr(polynomial, name), polynomial._FIXED_GRID_WORK
 
     def counted(*args):
         passes.append(args)
-        return horner_pass(*args)
+        return saved[0](*args)
 
-    polynomial._exact_pair = counted
+    setattr(polynomial, name, counted)
+    if fixed_grid_everywhere:
+        polynomial._FIXED_GRID_WORK = 0
     try:
         yield passes
     finally:
-        polynomial._exact_pair = horner_pass
+        setattr(polynomial, name, saved[0])
+        polynomial._FIXED_GRID_WORK = saved[1]
 
 
 def kept_pairs():
-    return sum(len(kept) for kept in polynomial._last_scaled[3:])
+    return sum(len(kept) for kept in polynomial._last_scaled[-2:])
 
 
 def cold_outcome(poly, z):
@@ -459,6 +468,182 @@ class TestPointMemo:
         assert list(vars(SEXTIC)) == ["low_coefficients"]
         assert SEXTIC == twin and hash(SEXTIC) == hash(twin)
         assert repr(SEXTIC) == repr(twin)
+
+
+# Two-stage evaluation.  A call that misses the memo runs the fixed-grid pass
+# first when n^2 E >= _FIXED_GRID_WORK, and the exact pass `_exact_pair`
+# only when the fixed-grid pass cannot decide a rounding.  These tests
+# compare it with `_exact_pair` alone at the grid point z', bit for bit.
+
+def grid_point(z):
+    """z' as `eval_with_derivative` defines it: each part of z rounded to
+    the nearest multiple of 2^min(0, e - 110), ties to even."""
+    grid = max(0, 110 - math.frexp(max(abs(z.real), abs(z.imag)))[1])
+    return complex(*(ldexp(round(ldexp(p, grid)), -grid) for p in (z.real, z.imag)))
+
+
+def exact_pass(poly, z):
+    """The bits of `_exact_pair` at z', or "overflow"."""
+    f, ints = polynomial.dyadic_integers(
+        [p for c in poly.low_coefficients for p in (c.real, c.imag)])
+    w = grid_point(complex(z))
+    e, (wr, wi) = polynomial.dyadic_integers((w.real, w.imag))
+    try:
+        v, d = polynomial._exact_pair(f, ints, e, wr, wi)
+    except OverflowError:
+        return "overflow"
+    return struct.pack("<4d", v.real, v.imag, d.real, d.imag)
+
+
+def assert_two_stage_exact(poly, z):
+    """Cold evaluation at z has `_exact_pair`'s bits under the default
+    dispatch and with the fixed-grid pass tried first; return the bits."""
+    want = exact_pass(poly, z)
+    assert cold_outcome(poly, z) == want, (poly, z)
+    with counted_passes("_exact_pair", fixed_grid_everywhere=True):
+        assert cold_outcome(poly, z) == want, (poly, z)
+    return want
+
+
+def dense(degree, seed=0, scale=1.0):
+    rng = random.Random(seed)
+    return MonicPolynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+                            for _ in range(degree)])
+
+
+def from_roots(roots):
+    """The monic polynomial with these Gaussian-integer roots (a list with
+    repeats), expanded exactly by `poly_from_roots`."""
+    counts = Counter(roots)
+    poly = poly_from_roots(RootSystem(tuple(complex(*r) for r in counts),
+                                      tuple(counts.values())))
+    assert all(abs(p) <= 2 ** 53 for c in poly.low_coefficients for p in (c.real, c.imag))
+    return poly
+
+
+def scaled_parts(low, high):
+    """Floats of either sign with binary exponents in [low, high]."""
+    return st.builds(ldexp, st.floats(-1.0, 1.0), st.integers(low, high))
+
+
+# coefficients whose exponents span 1000 bits, far more than the fixed grid
+# keeps, so bits of the small ones fall below it
+coefficient_parts = st.one_of(moderate_parts, scaled_parts(-700, 300))
+two_stage_polys = st.integers(1, 96).flatmap(lambda n: st.lists(
+    st.builds(complex, coefficient_parts, coefficient_parts),
+    min_size=n, max_size=n)).map(MonicPolynomial)
+# tiny and subnormal parts (large E), alone or next to a moderate part (the
+# z' grid), and large ones that overflow at high degree
+two_stage_parts = st.one_of(moderate_parts, scaled_parts(-1074, -300),
+                            scaled_parts(-60, 60))
+two_stage_points = st.builds(complex, two_stage_parts, two_stage_parts)
+
+
+@st.composite
+def near_multiple_roots(draw):
+    """A polynomial with a root of multiplicity 3 to 8 at a Gaussian
+    integer r, and a point within 2^-40 of r (r itself included)."""
+    r = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    alpha = draw(st.integers(3, 8))
+    others = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           max_size=24 - alpha))
+    offset = complex(ldexp(draw(st.floats(-1.0, 1.0)), -41),
+                     ldexp(draw(st.floats(-1.0, 1.0)), -41))
+    return from_roots([r] * alpha + others), complex(*r) + offset
+
+
+class TestTwoStage:
+    @settings(max_examples=250, deadline=None)
+    @given(poly=two_stage_polys, z=two_stage_points)
+    # subnormal z, and z with one tiny part, past the dispatch threshold
+    @example(poly=dense(24), z=complex(5e-324, -3e-320))
+    @example(poly=dense(96, 1), z=complex(1.3, 1e-300))
+    @example(poly=dense(48, 2), z=complex(ldexp(1, -1000), 0.0))
+    # coefficient parts from 2^-700 to 2^300
+    @example(poly=MonicPolynomial([
+        complex(ldexp(1.5, 300 - 10 * k), ldexp(-1.25, 10 * k - 700)) for k in range(96)]),
+        z=complex(0.75, -0.5))
+    # real coefficients at a real point: the imaginary parts are exactly 0
+    @example(poly=MonicPolynomial([float(k % 7 - 3) for k in range(30)]), z=-0.8125)
+    def test_result_has_the_bits_of_the_exact_pass(self, poly, z):
+        assert_two_stage_exact(poly, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_multiple_roots())
+    def test_near_a_multiple_root(self, case):
+        assert_two_stage_exact(*case)
+
+    def test_generic_point_takes_the_fixed_grid_pass(self):
+        # Without this, a fixed-grid pass that always fell back would pass
+        # every test above.
+        rng = random.Random(48)
+        poly = dense(48, 48)
+        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
+        reset_memo()
+        with counted_passes("_exact_pair") as passes:
+            got = [outcome(eval_with_derivative, poly, z) for z in points]
+        assert passes == []
+        assert got == [outcome(oracle_eval, poly, z) for z in points]
+
+    def test_derivative_bound_covers_errors_that_add_up(self):
+        # A = (x - 1)^5 (x + 1)^50 + 1: A' has a 4-fold zero at 1 while
+        # A(1) = 1, so near 1 A' is decided by a few ulps only.  At a real
+        # point near 1 every floor errs the same way, A''s error grows like
+        # n^2 grid units, and a bound as small as A's (3s) misses it.
+        low = list(from_roots([(1, 0)] * 5 + [(-1, 0)] * 50).low_coefficients)
+        poly = MonicPolynomial(low[:-1] + [low[-1] + 1])
+        for j in range(1, 41):
+            for z in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
+                assert_two_stage_exact(poly, z)
+
+    @pytest.mark.parametrize("poly, z, root", [
+        # A = 0 at a root: the interval holds both signs of zero, and the
+        # exact pass gives +0.0
+        (from_roots([(3, 0)] * 3 + [(1, 1)] * 16), 3.0, True),
+        (from_roots([(0, 1)] * 3 + [(-1, 0)] * 16), 1j, True),
+        # an 8-fold root: A is about 2^-320 times the sum of its terms
+        (from_roots([(1, 0)] * 8 + [(2, -1)] * 12), complex(1.0, ldexp(1, -40)), False),
+    ])
+    def test_undecided_rounding_falls_back_to_the_exact_pass(self, poly, z, root):
+        want = exact_pass(poly, z)
+        reset_memo()
+        with counted_passes("_exact_pair") as passes:
+            assert outcome(eval_with_derivative, poly, z) == want
+        assert len(passes) == 1
+        assert want == outcome(oracle_eval, poly, z)
+        assert (want[:16] == struct.pack("<2d", 0.0, 0.0)) is root
+
+    @pytest.mark.parametrize("a1, z, signs", [
+        # z^2 (z + a1) at z = -(1 + 2^-52) a1 is about -2^-52 a1^3: with
+        # a1 = 2^-350, -2^-1102 (a real polynomial at a real point: the
+        # imaginary part is exactly +0.0); with a1 = 2^-350 (1 + i/2),
+        # -2^-1102 (1/4 + 11i/8), whose parts both round to -0.0
+        (ldexp(1, -350), -ldexp(1 + 2.0 ** -52, -350), (-1.0, 1.0)),
+        (complex(ldexp(1, -350), ldexp(1, -351)),
+         complex(-ldexp(1 + 2.0 ** -52, -350), -ldexp(1 + 2.0 ** -52, -351)),
+         (-1.0, -1.0)),
+    ])
+    def test_negative_underflow_is_negative_zero(self, a1, z, signs):
+        poly = MonicPolynomial((a1, 0, 0))
+        want = exact_pass(poly, z)
+        with counted_passes("_exact_pair", fixed_grid_everywhere=True) as passes:
+            assert cold_outcome(poly, z) == want
+        assert passes == []  # the fixed-grid pass decides the sign
+        value = complex(*struct.unpack("<2d", want[:16]))
+        assert value == 0
+        assert (math.copysign(1.0, value.real), math.copysign(1.0, value.imag)) == signs
+
+    @pytest.mark.parametrize("poly, z", [
+        (MonicPolynomial((0,) * 6), 1e100),
+        (dense(48, 3), complex(ldexp(1, 30) + 0.5, 3.0)),
+        (MonicPolynomial((0.0, 1.7e308)), 1e154),
+        (dense(96, 4, scale=2.0 ** 1000), complex(1.5, 0.75)),
+    ])
+    def test_overflow_raises_on_both_paths(self, poly, z):
+        assert exact_pass(poly, z) == "overflow"
+        assert cold_outcome(poly, z) == "overflow"
+        with counted_passes("_exact_pair", fixed_grid_everywhere=True):
+            assert cold_outcome(poly, z) == "overflow"
 
 
 def _is_normal_or_zero(x):
