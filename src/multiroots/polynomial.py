@@ -22,23 +22,28 @@ _FIXED_GRID_WORK = 3 * 2 ** 13
 
 _bits = Struct("<4d").pack
 
-#: (polynomial, F, [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n], sizes, recent,
-#: older) for the polynomial `eval_with_derivative` saw last, with the least
-#: F >= 0 that makes these integers and sizes[k-1] = max(|Re a_k|, |Im a_k|)
-#: for the fixed-grid pass.  A solve evaluates one polynomial many times in a
-#: row, so this one entry saves converting the coefficients on each call; a
-#: cache on every polynomial would cost several hundred bytes each.  The two
-#: dicts map a point z to its (A, A') pair: a solve evaluates each new
-#: iterate for its residual and the next sweep evaluates it again, and such a
-#: repeat costs a lookup instead of a Horner pass.  A pair is added to
-#: ``recent``; when ``recent`` holds 2n pairs the entry is replaced by one
-#: whose ``recent`` is empty and whose ``older`` is the full one, so at most
-#: 4n pairs are kept and each survives at least 2n further new points (a
-#: solve reuses a point within 2m <= 2n of them).  The tuple is replaced,
-#: never changed, so concurrent callers see a whole one; its dicts are only
-#: read and added to, never iterated, and a pair depends on the polynomial
-#: and z alone, so a lost or duplicated addition costs a Horner pass at most.
-_last_scaled = (None, 0, [], [], {}, {})
+#: (polynomial, F, ints, real, sizes, recent, older) for the polynomial
+#: `eval_with_derivative` saw last.  ``real`` says whether every Im a_k is 0;
+#: ``ints`` is then [2^F a_1, ..., 2^F a_n], else [Re 2^F a_1, Im 2^F a_1,
+#: ..., Im 2^F a_n], with the least F >= 0 that makes these integers.
+#: ``sizes`` is empty until the polynomial's first fixed-grid pass fills it,
+#: in one step, with sizes[k-1] = max(|Re a_k|, |Im a_k|); a polynomial that
+#: never takes that pass (low degree, |z| ~ 1) never builds it.  A solve
+#: evaluates one polynomial many times in a row, so this one entry saves
+#: converting the coefficients on each call; a cache on every polynomial
+#: would cost several hundred bytes each.  The two dicts map a point z to
+#: its (A, A') pair: a solve evaluates each new iterate for its residual and
+#: the next sweep evaluates it again, and such a repeat costs a lookup
+#: instead of a Horner pass.  A pair is added to ``recent``; when ``recent``
+#: holds 2n pairs the entry is replaced by one whose ``recent`` is empty and
+#: whose ``older`` is the full one, so at most 4n pairs are kept and each
+#: survives at least 2n further new points (a solve reuses a point within
+#: 2m <= 2n of them).  The tuple is replaced, never changed, so concurrent
+#: callers see a whole one; its dicts are only read and added to, never
+#: iterated, and a pair depends on the polynomial and z alone, so a lost or
+#: duplicated addition costs a Horner pass at most; ``sizes`` goes from
+#: empty to whole in one slice assignment, the same by every caller.
+_last_scaled = (None, 0, [], False, [], {}, {})
 
 
 def is_finite(z: complex) -> bool:
@@ -95,6 +100,15 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     A'(z) 2^(F+(n-1)E), and int true division rounds each part (CPython
     rounds it correctly).
 
+    Real coefficients (every Im a_k zero, either sign; decided once per
+    polynomial) take Knuth's second-order Horner recurrence instead, in
+    both passes below: A is divided by the real quadratic
+    x^2 - 2 Re z x + |z|^2, which vanishes at z, so A(z) = b_n - b_(n-1)
+    conj(z) from the remainder's recurrence b_k, and A'(z) = b_(n-1) +
+    2 i Im z Q(z) from a second recurrence for the quotient Q.  A step makes
+    4 integer products where complex Horner makes 8; the values, and so
+    the bits, are the same.
+
     A part of z far below the other is rounded first: the values are exact
     at z', which is z with each part rounded to the nearest multiple of
     2^min(0, e - 110) (ties to even), where 2^(e-1) <= max(|Re z|, |Im z|)
@@ -105,24 +119,33 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     That exact pass widens its integers by about E bits per step, so it
     costs O(n^2 E): E is about 53 at |z| ~ 1 and 1074 at subnormal z.  When
     n^2 E >= 3 * 2^13 (n >= 22 at |z| ~ 1, n >= 5 at subnormal z), a
-    fixed-grid pass runs first (Ziv's strategy).  It runs Horner at the
-    same z' on integers kept on the grid 2^-G, with G chosen so that the
-    values keep about P = 256 bits below Sum |a_k| |z'|^(n-k); each step
-    floors the product by 2^E, coefficient bits below the grid are dropped,
-    and a rigorous bound on the error of A and of A' is carried.  Each part
-    is rounded at both ends of its error interval, and the pair is returned
-    only if every part gives the same binary64 number, sign of zero
-    included: rounding is monotone, so that is the exact pass's number.
-    Otherwise the exact pass runs, for 2-8% of the fixed-grid passes of the
-    wide benchmark solves: where a part cancels below about 2^-200 of its
-    terms (near a multiple root) or is exactly 0 (as at an iterate on a
-    root).  So every result has the exact pass's bits.  Per call at a new
-    point, dense coefficients, in us, as two-stage / exact pass alone at
-    |z| ~ 1, |z| ~ 1e-100 and subnormal z (median of 3 runs on a shared
-    Xeon, CPython 3.11; runs scatter by +-30%): degree 6, 18 / 18,
-    26 / 26, 24 / 38 (only the last uses the fixed grid); degree 24,
-    62 / 71, 59 / 215, 57 / 389; degree 48, 112 / 186, 105 / 708,
-    101 / 1257; degree 96, 205 / 508, 173 / 1568, 108 / 2819.
+    fixed-grid pass runs first (Ziv's strategy).  It runs the same
+    recurrence at the same z' on integers kept on the grid 2^-G, with G
+    chosen so that the values keep about P = 256 bits below
+    Sum |a_k| |z'|^(n-k); each step floors its products, coefficient bits
+    below the grid are dropped, and a rigorous bound on the error of A and
+    of A' is carried (for real coefficients Im A and Im A', Im z' times a
+    real value, keep their own scale, so points near the real axis decide
+    too).  Each part is rounded at both ends of its error interval, and the
+    pair is returned only if every part gives the same binary64 number,
+    sign of zero included: rounding is monotone, so that is the exact
+    pass's number.  Otherwise the exact pass runs, for 2-7% of the
+    fixed-grid passes of the wide benchmark solves: where a part cancels
+    below about 2^-200 of its terms (near a multiple root) or is exactly 0
+    (as at an iterate on a root).  So every result has the exact pass's
+    bits.  Per call at a new point, dense coefficients, in us, as
+    two-stage / exact pass alone at |z| ~ 1, |z| ~ 1e-100 and subnormal z
+    (median of 3 runs on a shared Xeon, CPython 3.11; runs scatter by
+    +-30%; one figure where only the exact pass runs):
+
+    ==========  ====================================  ====================================
+    degree      real coefficients                     complex coefficients
+    ==========  ====================================  ====================================
+    6           12, 17, 20 / 23                       16, 18, 14 / 22
+    24          26 / 24, 25 / 76, 23 / 113            35 / 39, 32 / 116, 32 / 199
+    48          41 / 58, 41 / 263, 43 / 385           61 / 94, 54 / 420, 57 / 721
+    96          74 / 176, 72 / 922, 67 / 1353         117 / 286, 105 / 1491, 112 / 2705
+    ==========  ====================================  ====================================
 
     That Horner pass is made once per point: the pairs of the last 2n to
     4n new points are kept for the polynomial evaluated last, so a call at
@@ -154,42 +177,50 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     scaled = _last_scaled
     if scaled[0] is not poly:
         coeffs = poly.low_coefficients
+        real = not any([c.imag for c in coeffs])
         scaled = _last_scaled = (
-            poly, *dyadic_integers([p for c in coeffs for p in (c.real, c.imag)]),
-            [max(abs(c.real), abs(c.imag)) for c in coeffs], {}, {})
-    _, f, ints, sizes, recent, older = scaled
+            poly, *dyadic_integers([c.real for c in coeffs] if real else
+                                   [p for c in coeffs for p in (c.real, c.imag)]),
+            real, [], {}, {})
+    recent, older = scaled[5], scaled[6]
     pair = recent.get(zc) or older.get(zc)
     if pair is None:
         try:
-            pair = _horner_pair(f, ints, sizes, zc.real, zc.imag)
+            pair = _horner_pair(scaled, zc.real, zc.imag)
         except OverflowError:
             raise NonFiniteError(
                 f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"
             ) from None
         if len(recent) >= 2 * poly.degree:
             recent, older = {}, recent
-            _last_scaled = (poly, f, ints, sizes, recent, older)
+            _last_scaled = (*scaled[:5], recent, older)
         recent[zc] = pair
     return pair
 
 
-def _horner_pair(f, ints, sizes, x, y):
-    # (A(z'), A'(z')) for the coefficients ``ints`` over 2^f, each part
+def _horner_pair(scaled, x, y):
+    # (A(z'), A'(z')) for the polynomial of a `_last_scaled` entry, each part
     # rounded once, from the fixed-grid pass where it is used and its
     # rounding test passes, else from the exact pass; raises OverflowError
     # when a part is beyond binary64.  See `eval_with_derivative`.
+    poly, f, ints, real, sizes, _, _ = scaled
     e, (zr, zi) = dyadic_integers((x, y))
     grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
     if e > grid:  # a part has bits below the grid: evaluate at z'
         e, (zr, zi) = dyadic_integers(
             [ldexp(round(ldexp(p, grid)), -grid) for p in (x, y)])
-    if len(sizes) ** 2 * e >= _FIXED_GRID_WORK:
+    coeffs = poly.low_coefficients
+    if len(coeffs) ** 2 * e >= _FIXED_GRID_WORK:
+        if not sizes:  # filled in one step, at the polynomial's first such pass
+            sizes[:] = [max(abs(c.real), abs(c.imag)) for c in coeffs]
         try:
-            pair = _fixed_grid_pair(f, ints, sizes, e, zr, zi)
+            pair = _fixed_grid_pair(f, ints, real, sizes, e, zr, zi)
         except OverflowError:  # the exact pass tells whether it overflows
             pair = None
         if pair is not None:
             return pair
+    if real:
+        return _exact_real_pair(f, ints, e, zr, zi)
     return _exact_pair(f, ints, e, zr, zi)
 
 
@@ -206,16 +237,40 @@ def _exact_pair(f, ints, e, zr, zi):
             complex(dr / deriv_scale, di / deriv_scale))
 
 
-def _fixed_grid_pair(f, ints, sizes, e, zr, zi):
-    # The same pair from Horner on the grid 2^-g, or None when an error
-    # interval does not round to one binary64 number.  In units of 2^-g,
-    # each step's floors add an error below 2 per part (one for the
-    # product, one for a coefficient truncated to the grid), so below 3 in
-    # modulus, and every earlier error grows by |z'| per step: with
-    # s = n max(1, |z'|)^(n-1), A's error is below 3s and A''s, whose steps
-    # add one floor and A's error, below s (2 + 3s).  These are exact
-    # integers while |z'| (1 + 2^-40) <= 1; above, that factor covers the
-    # rounding of |z'|, of the power and of the products.
+def _exact_real_pair(f, ints, e, zr, zi):
+    # The same pair for real coefficients ``ints`` (over 2^f) from the
+    # second-order recurrence (Knuth, TAOCP 4.6.4), which divides A by the
+    # real quadratic x^2 - r x + s with r = 2 Re z', s = |z'|^2, zero at z':
+    # with b_0 = 1 and b_k = a_k + r b_(k-1) - s b_(k-2),
+    # A(z') = b_n - b_(n-1) conj(z').  The quotient Q is sum b_k x^(n-2-k);
+    # with c_k = b_k + r c_(k-1) - s c_(k-2), Q(z') = c_(n-2) - c_(n-3)
+    # conj(z'), and A'(z') = b_(n-1) + 2 i Im z' Q(z'), 2 i Im z' being the
+    # quadratic's derivative at z'.  b and c before index 0 are 0, and
+    # B_k = 2^(f+ke) b_k and C_k = 2^(f+ke) c_k are integers, with
+    # 2^e r = 2 zr and 2^(2e) s = zr^2 + zi^2.  Each step makes C_(k-2) from
+    # B_(k-2) and then B_k: 4 products where the complex loop makes 8.
+    twice_re, norm = 2 * zr, zr * zr + zi * zi
+    b1, b2, c1, c2 = 1 << f, 0, 0, 0
+    shift = 0
+    for c in ints:
+        shift += e
+        c1, c2 = b2 + twice_re * c1 - norm * c2, c1
+        b1, b2 = (c << shift) + twice_re * b1 - norm * b2, b1
+    value_scale, deriv_scale = 1 << (f + shift), 1 << (f + shift - e)
+    return (complex((b1 - zr * b2) / value_scale, zi * b2 / value_scale),
+            complex((b2 - 2 * zi * zi * c2) / deriv_scale,
+                    2 * zi * (c1 - zr * c2) / deriv_scale))
+
+
+def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi):
+    # The same pair from a pass on the grid 2^-g, or None when an error
+    # interval does not round to one binary64 number.  Both loops keep
+    # their values as integers in units of 2^-g and floor every product;
+    # coefficient bits below 2^-(g+e) are floored too.  With
+    # rho = max(1, |z'|) and s = n rho^(n-1), each carries a bound on the
+    # error of every part of A (bv) and of A' (bd) in those units.  These are exact while
+    # |z'| (1 + 2^-40) <= 1; above, that factor covers the rounding of
+    # |z'|, of the power and of the products.
     r = ldexp(hypot(zr, zi), -e)
     size = 1.0
     for a in sizes:  # at least 2^-0.5 Sum |a_k| |z'|^(n-k)
@@ -223,15 +278,52 @@ def _fixed_grid_pair(f, ints, sizes, e, zr, zi):
     g = max(0, _FIXED_GRID_BITS - frexp(size)[1])
     t = g + e - f
     cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
-    vr, vi, dr, di = 1 << g, 0, 0, 0
-    for cr, ci in zip(cs[0::2], cs[1::2]):
-        dr, di = ((dr * zr - di * zi) >> e) + vr, ((dr * zi + di * zr) >> e) + vi
-        vr, vi = (vr * zr - vi * zi + cr) >> e, (vr * zi + vi * zr + ci) >> e
-    s = len(sizes) * max(1.0, r * (1 + 2.0 ** -40)) ** (len(sizes) - 1)
-    bv, bd = int(3 * s) + 1, int(s * (2 + 3 * s)) + 1
-    # with z' and every coefficient real, both imaginary parts are exactly 0
-    bvi, bdi = (bv, bd) if zi or any(ints[1::2]) else (0, 0)
-    scale = 1 << g
+    n = len(sizes)
+    s = n * max(1.0, r * (1 + 2.0 ** -40)) ** (n - 1)
+    if real:
+        # The second-order recurrence of `_exact_real_pair`.  A B step's
+        # floors and coefficient truncation add delta_k, |delta_k| < 2: the
+        # B values are exactly those of the coefficients a_k + delta_k 2^-g.
+        # A C step's floors add gamma_k, |gamma_k| < 1, to the quotient's
+        # coefficient b_k.  So A errs by Sum delta_k z'^(n-k) plus the last
+        # floor, below 2s + 1 per part, and A' by Sum delta_k (n-k)
+        # z'^(n-k-1) (below (n-1)s) plus 2 i Im z' Sum gamma_k z'^(n-2-k)
+        # (below 2s) plus the last floors (below 2|Im z'| + 1 <= s + 1 for
+        # n >= 2): below (n+2)s + 1.  Im A = Im z' b_(n-1) and
+        # Im A' = 2 Im z' Re Q are left unfloored, over 2^-(g+e), so they
+        # keep their bits where |Im z'| is far below the terms (as near a
+        # real root), and the other parts are moved to that scale.  Their
+        # second bound follows the recurrence's response to a unit error m
+        # steps back, W_m = Sum_t z'^t conj(z')^(m-t), |W_m| <= (m+1)|z'|^m:
+        # b_j errs by below Sum_m 2 (m+1) rho^m <= j(j+1) rho^(j-1), so
+        # Im A by below |Im z'| (n-1)s, and Re Q by below
+        # Sum_j (j(j+1) rho^(j-1) + 1) rho^(n-2-j) + 1 <= n^2 s + 1.  Each
+        # takes the smaller bound; at a real z' both are exactly 0.
+        twice_re, norm = 2 * zr, zr * zr + zi * zi
+        b1, b2, c1, c2 = 1 << g, 0, 0, 0
+        for c in cs:
+            c1, c2 = ((twice_re * c1 - (norm * c2 >> e)) >> e) + b2, c1
+            b1, b2 = (twice_re * b1 - (norm * b2 >> e) + c) >> e, b1
+        qr, qi = c1 - (zr * c2 >> e), zi * c2 >> e
+        vr, vi = b1 - (zr * b2 >> e) << e, zi * b2
+        dr, di = b2 - (2 * zi * qi >> e) << e, 2 * zi * qr
+        bv, bd = int(2 * s) + 2 << e, int((n + 2) * s) + 2 << e
+        bvi = min(bv, abs(zi) * (int((n - 1) * s) + 1))
+        bdi = min(bd, 2 * abs(zi) * (int(n * n * s) + 2))
+        scale = 1 << g + e
+    else:
+        # Horner over Gaussian integers: each step's floors add an error
+        # below 2 per part (one for the product, one for a truncated
+        # coefficient), so below 3 in modulus, and every earlier error grows
+        # by |z'| per step: A's error is below 3s and A''s, whose steps add
+        # one floor and A's error, below s (2 + 3s).
+        vr, vi, dr, di = 1 << g, 0, 0, 0
+        for cr, ci in zip(cs[0::2], cs[1::2]):
+            dr, di = ((dr * zr - di * zi) >> e) + vr, ((dr * zi + di * zr) >> e) + vi
+            vr, vi = (vr * zr - vi * zi + cr) >> e, (vr * zi + vi * zr + ci) >> e
+        bv = bvi = int(3 * s) + 1
+        bd = bdi = int(s * (2 + 3 * s)) + 1
+        scale = 1 << g
     low = ((vr - bv) / scale, (vi - bvi) / scale,
            (dr - bd) / scale, (di - bdi) / scale)
     if _bits(*low) != _bits((vr + bv) / scale, (vi + bvi) / scale,

@@ -334,29 +334,40 @@ class TestMatchesExactOracle:
 # the fixed-grid pass is not used or cannot decide the rounding).
 
 def reset_memo():
-    polynomial._last_scaled = (None, 0, [], [], {}, {})
+    polynomial._last_scaled = (None, 0, [], False, [], {}, {})
+
+
+#: The exact passes: `_exact_pair` for complex coefficients and
+#: `_exact_real_pair` for real ones.
+EXACT_PASSES = ("_exact_pair", "_exact_real_pair")
 
 
 @contextlib.contextmanager
-def counted_passes(name="_horner_pair", fixed_grid_everywhere=False):
-    """Yield a list that gets one entry per call of ``polynomial.<name>``
-    made inside (by default one per Horner pass); with
-    ``fixed_grid_everywhere``, the fixed-grid pass is tried at every point."""
+def counted_passes(*names, fixed_grid_everywhere=False):
+    """Yield a list that gets one (name, args) entry per call of any of
+    ``polynomial.<name>`` for the given names made inside (by default
+    ``_horner_pair``: one per Horner pass); with ``fixed_grid_everywhere``,
+    the fixed-grid pass is tried at every point."""
     passes = []
-    saved = getattr(polynomial, name), polynomial._FIXED_GRID_WORK
+    saved = {name: getattr(polynomial, name) for name in names or ("_horner_pair",)}
+    saved_work = polynomial._FIXED_GRID_WORK
 
-    def counted(*args):
-        passes.append(args)
-        return saved[0](*args)
+    def counting(name):
+        def counted(*args):
+            passes.append((name, args))
+            return saved[name](*args)
+        return counted
 
-    setattr(polynomial, name, counted)
+    for name in saved:
+        setattr(polynomial, name, counting(name))
     if fixed_grid_everywhere:
         polynomial._FIXED_GRID_WORK = 0
     try:
         yield passes
     finally:
-        setattr(polynomial, name, saved[0])
-        polynomial._FIXED_GRID_WORK = saved[1]
+        for name, function in saved.items():
+            setattr(polynomial, name, function)
+        polynomial._FIXED_GRID_WORK = saved_work
 
 
 def kept_pairs():
@@ -482,14 +493,17 @@ def grid_point(z):
     return complex(*(ldexp(round(ldexp(p, grid)), -grid) for p in (z.real, z.imag)))
 
 
-def exact_pass(poly, z):
-    """The bits of `_exact_pair` at z', or "overflow"."""
+def exact_pass(poly, z, real=False):
+    """The bits of `_exact_pair` at z' (with ``real``, of `_exact_real_pair`
+    on the real parts), or "overflow"."""
+    coeffs = poly.low_coefficients
     f, ints = polynomial.dyadic_integers(
-        [p for c in poly.low_coefficients for p in (c.real, c.imag)])
+        [c.real for c in coeffs] if real else [p for c in coeffs for p in (c.real, c.imag)])
     w = grid_point(complex(z))
     e, (wr, wi) = polynomial.dyadic_integers((w.real, w.imag))
+    exact = polynomial._exact_real_pair if real else polynomial._exact_pair
     try:
-        v, d = polynomial._exact_pair(f, ints, e, wr, wi)
+        v, d = exact(f, ints, e, wr, wi)
     except OverflowError:
         return "overflow"
     return struct.pack("<4d", v.real, v.imag, d.real, d.imag)
@@ -500,15 +514,16 @@ def assert_two_stage_exact(poly, z):
     dispatch and with the fixed-grid pass tried first; return the bits."""
     want = exact_pass(poly, z)
     assert cold_outcome(poly, z) == want, (poly, z)
-    with counted_passes("_exact_pair", fixed_grid_everywhere=True):
+    with counted_passes(*EXACT_PASSES, fixed_grid_everywhere=True):
         assert cold_outcome(poly, z) == want, (poly, z)
     return want
 
 
-def dense(degree, seed=0, scale=1.0):
+def dense(degree, seed=0, scale=1.0, real=False):
     rng = random.Random(seed)
-    return MonicPolynomial([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
-                            for _ in range(degree)])
+    return MonicPolynomial([
+        complex(rng.uniform(-1, 1), 0.0 if real else rng.uniform(-1, 1)) * scale
+        for _ in range(degree)])
 
 
 def from_roots(roots):
@@ -573,28 +588,39 @@ class TestTwoStage:
     def test_near_a_multiple_root(self, case):
         assert_two_stage_exact(*case)
 
-    def test_generic_point_takes_the_fixed_grid_pass(self):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_generic_point_takes_the_fixed_grid_pass(self, real):
         # Without this, a fixed-grid pass that always fell back would pass
-        # every test above.
+        # every test above; real coefficients take its second-order loop.
         rng = random.Random(48)
-        poly = dense(48, 48)
+        poly = dense(48, 48, real=real)
         points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
         reset_memo()
-        with counted_passes("_exact_pair") as passes:
+        with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
             got = [outcome(eval_with_derivative, poly, z) for z in points]
-        assert passes == []
+        # no exact pass; args[2] is the fixed-grid pass's ``real``
+        assert [(name, args[2]) for name, args in passes] == [("_fixed_grid_pair", real)] * 20
         assert got == [outcome(oracle_eval, poly, z) for z in points]
 
-    def test_derivative_bound_covers_errors_that_add_up(self):
+    @pytest.mark.parametrize("real, imag", [
+        (False, 0.0), (True, 0.0), (True, 2.0 ** -50)])
+    def test_derivative_bound_covers_errors_that_add_up(self, real, imag):
         # A = (x - 1)^5 (x + 1)^50 + 1: A' has a 4-fold zero at 1 while
-        # A(1) = 1, so near 1 A' is decided by a few ulps only.  At a real
-        # point near 1 every floor errs the same way, A''s error grows like
-        # n^2 grid units, and a bound as small as A's (3s) misses it.
+        # A(1) = 1, so near 1 A' is decided by a few ulps only.  At a point
+        # near 1 every floor errs the same way, A''s error grows like n^2
+        # grid units, and a bound as small as A's misses it.  Adding i x
+        # moves A' by i alone and sends A to the complex loop; the real A
+        # takes the second-order loop, also at points whose imaginary part
+        # is below 2^-44 of the real one, where the quadratic divisor nearly
+        # has a double root.
         low = list(from_roots([(1, 0)] * 5 + [(-1, 0)] * 50).low_coefficients)
-        poly = MonicPolynomial(low[:-1] + [low[-1] + 1])
+        low[-1] += 1
+        if not real:
+            low[-2] += 1j
+        poly = MonicPolynomial(low)
         for j in range(1, 41):
-            for z in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
-                assert_two_stage_exact(poly, z)
+            for re in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
+                assert_two_stage_exact(poly, complex(re, j * imag))
 
     @pytest.mark.parametrize("poly, z, root", [
         # A = 0 at a root: the interval holds both signs of zero, and the
@@ -607,7 +633,7 @@ class TestTwoStage:
     def test_undecided_rounding_falls_back_to_the_exact_pass(self, poly, z, root):
         want = exact_pass(poly, z)
         reset_memo()
-        with counted_passes("_exact_pair") as passes:
+        with counted_passes(*EXACT_PASSES) as passes:
             assert outcome(eval_with_derivative, poly, z) == want
         assert len(passes) == 1
         assert want == outcome(oracle_eval, poly, z)
@@ -626,7 +652,7 @@ class TestTwoStage:
     def test_negative_underflow_is_negative_zero(self, a1, z, signs):
         poly = MonicPolynomial((a1, 0, 0))
         want = exact_pass(poly, z)
-        with counted_passes("_exact_pair", fixed_grid_everywhere=True) as passes:
+        with counted_passes(*EXACT_PASSES, fixed_grid_everywhere=True) as passes:
             assert cold_outcome(poly, z) == want
         assert passes == []  # the fixed-grid pass decides the sign
         value = complex(*struct.unpack("<2d", want[:16]))
@@ -636,14 +662,117 @@ class TestTwoStage:
     @pytest.mark.parametrize("poly, z", [
         (MonicPolynomial((0,) * 6), 1e100),
         (dense(48, 3), complex(ldexp(1, 30) + 0.5, 3.0)),
+        (dense(48, 3, real=True), complex(ldexp(1, 30) + 0.5, 3.0)),
         (MonicPolynomial((0.0, 1.7e308)), 1e154),
         (dense(96, 4, scale=2.0 ** 1000), complex(1.5, 0.75)),
+        (dense(96, 4, scale=2.0 ** 1000, real=True), complex(1.5, 0.75)),
     ])
     def test_overflow_raises_on_both_paths(self, poly, z):
         assert exact_pass(poly, z) == "overflow"
         assert cold_outcome(poly, z) == "overflow"
-        with counted_passes("_exact_pair", fixed_grid_everywhere=True):
+        with counted_passes(*EXACT_PASSES, fixed_grid_everywhere=True):
             assert cold_outcome(poly, z) == "overflow"
+
+
+# Real coefficients.  A polynomial whose every Im a_k is 0 is evaluated by
+# the second-order recurrence in both passes (`_exact_real_pair` and the
+# real loop of `_fixed_grid_pair`).  These tests compare it, bit for bit,
+# with the complex exact pass `_exact_pair` fed the zero imaginary parts and
+# with the oracle, both at z'.
+
+def assert_real_path_exact(poly, z):
+    """Both real passes at z have the bits of the complex exact pass and of
+    the oracle at z'."""
+    want = assert_two_stage_exact(poly, z)
+    assert polynomial._last_scaled[0] is poly and polynomial._last_scaled[3]
+    assert exact_pass(poly, z, real=True) == want, (poly, z)
+    assert outcome(oracle_eval, poly, grid_point(complex(z))) == want, (poly, z)
+
+
+real_polys = st.integers(1, 96).flatmap(lambda n: st.lists(
+    coefficient_parts, min_size=n, max_size=n)).map(MonicPolynomial)
+# real points, points with an imaginary part 2^-1 to 2^-105 of the real one
+# (the divisor x^2 - 2 Re z' x + |z'|^2 then nearly has a double root), and
+# the points of the two-stage tests: tiny, subnormal and overflowing ones
+near_real_points = st.builds(
+    lambda x, k: complex(x, ldexp(x or 1.0, -k)), two_stage_parts, st.integers(1, 105))
+real_path_points = st.one_of(st.builds(complex, two_stage_parts), near_real_points,
+                             two_stage_points)
+
+
+@st.composite
+def near_multiple_real_roots(draw):
+    """A real polynomial with a root of multiplicity 3 to 8 at an integer r,
+    or a conjugate pair of roots of multiplicity 2 to 5 at r and conj(r), and
+    a point within 2^-40 of r: r itself, a point on r's horizontal line, or
+    one 2^-41 to 2^-100 off that line."""
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+    alpha = draw(st.integers(3, 8) if b == 0 else st.integers(2, 5))
+    roots = [(a, b)] * alpha + [(a, -b)] * (alpha if b else 0)
+    for x, y in draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                              max_size=(24 - len(roots)) // 2)):
+        roots += [(x, y), (x, -y)] if y else [(x, 0)]
+    re = ldexp(draw(st.floats(-1.0, 1.0)), -41)
+    im = ldexp(draw(st.floats(-1.0, 1.0)), -draw(st.integers(41, 100)))
+    offset = draw(st.sampled_from([0j, complex(re, 0.0), complex(re, im)]))
+    return from_roots(roots), complex(a, b) + offset
+
+
+class TestRealCoefficients:
+    @settings(max_examples=250, deadline=None)
+    @given(poly=real_polys, z=real_path_points)
+    # degrees 1 and 2: no c_k at all, and c_(n-3) empty
+    @example(poly=MonicPolynomial((0.75,)), z=complex(1.5, -0.25))
+    @example(poly=MonicPolynomial((-1.0, 0.5)), z=complex(0.5, 2.0))
+    @example(poly=MonicPolynomial((-1.0, 0.5)), z=-0.75)
+    # subnormal z, z with one tiny part, and coefficients from 2^-700 to 2^300
+    @example(poly=dense(24, real=True), z=complex(5e-324, -3e-320))
+    @example(poly=dense(96, 1, real=True), z=complex(1.3, 1e-300))
+    @example(poly=MonicPolynomial([ldexp(1.5 - k % 2, 300 - 10 * k) for k in range(96)]),
+             z=complex(0.75, -0.5))
+    # overflow
+    @example(poly=dense(96, 4, real=True), z=complex(ldexp(1, 20), 3.0))
+    def test_result_has_the_bits_of_the_complex_exact_pass(self, poly, z):
+        assert_real_path_exact(poly, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_multiple_real_roots())
+    # on a triple root, on a conjugate pair of double roots, and just off one
+    @example(case=(from_roots([(3, 0)] * 3 + [(1, 1), (1, -1)]), 3 + 0j))
+    @example(case=(from_roots([(1, 2)] * 2 + [(1, -2)] * 2), complex(1, 2)))
+    @example(case=(from_roots([(1, 0)] * 8 + [(-2, 1), (-2, -1)] * 3),
+                   complex(1 + 2.0 ** -41, 2.0 ** -90)))
+    def test_near_multiple_roots(self, case):
+        assert_real_path_exact(*case)
+
+    def test_imaginary_bounds_cover_errors_that_grow(self):
+        # A = (x - 1)^6 (x + 1)^50 + x: A'' has a 4-fold zero at 1 while
+        # A'(1) = 1.  Im A' = 2 Im z' Re Q, with Re Q near A''/2, is kept
+        # off the grid, and at points 2^-80 or less of their real part off
+        # the real axis its bound is the one grown through W_m: near 1 the
+        # errors of b_k and c_k add up to about n^3 grid units, and a bound
+        # of n^2 misses them.
+        low = list(from_roots([(1, 0)] * 6 + [(-1, 0)] * 50).low_coefficients)
+        low[-2] += 1
+        poly = MonicPolynomial(low)
+        for j in range(1, 41):
+            for re in (1 - j * 2.0 ** -52, 1 + j * 2.0 ** -52):
+                assert_real_path_exact(poly, complex(re, j * 2.0 ** -80))
+
+    def test_path_is_chosen_once_per_polynomial(self):
+        # Zero imaginary parts of either sign select the real passes; the
+        # magnitudes that choose the fixed grid are kept from the first
+        # fixed-grid pass of a polynomial on, never built before it.
+        reset_memo()
+        eval_with_derivative(SEXTIC, 0.5)
+        assert polynomial._last_scaled[3:5] == (True, [])
+        poly = MonicPolynomial([complex(c.real, -0.0)
+                                for c in dense(48, 5, real=True).low_coefficients])
+        eval_with_derivative(poly, 0.3)  # n^2 E >= 3 * 2^13: fixed grid
+        assert polynomial._last_scaled[3:5] == (
+            True, [abs(c.real) for c in poly.low_coefficients])
+        eval_with_derivative(dense(48, 5), 0.5j)
+        assert polynomial._last_scaled[3] is False
 
 
 def _is_normal_or_zero(x):
