@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from math import isfinite
 from typing import Optional, Sequence
 
 from ._record import Record, set_field
@@ -56,26 +57,31 @@ class UpdateMode(enum.Enum):
     in SERIAL mode.  A call at a point evaluated before in the solve (the
     next sweep's call at each residual's point, a serial sweep's residual
     call at a moved component, a component that did not move) returns the
-    pair `eval_with_derivative` kept for it, at the cost of a lookup; so a
-    solve makes one Horner pass per distinct point.
+    pair `eval_with_derivative` kept for it, at the cost of one dictionary
+    probe; so a solve makes one Horner pass per distinct point.
 
     Both step kinds run on one deflation kernel (the simple-root step is
     the generalized one's with every multiplicity 1), and one loop drives
-    the SERIAL sweeps of both.  A build of the kernel checks every pair
+    the SERIAL sweeps of both.  A build of the kernel checks the pairs
     for collisions, forms the pair terms alpha_l / (x_j - x_l) and
-    (x_j - x_l)**alpha_l of ``a(m - 1)`` ordered pairs (one
-    ``integer_power`` call where alpha_l > 1, none for a simple root) and
-    reduces each active row to its deflation sum and product.  The
-    generalized step's build also forms one ``integer_power`` numerator
-    per active index once two are active.  A TOTAL_STEP sweep makes one
-    build; a SERIAL sweep builds before each update but keeps the table of
-    pair terms, so after a component moves only the ``(m - 1) + (a - 1)``
-    pairs of its row and column are formed again: O(m) work per moved
-    component instead of O(a m).  Every row is still reduced in full, in
-    the order of a full build, so results and errors are bitwise those of
-    building from scratch before each update.  Each update forms its own
-    index's neighbour sum (the generalized step's correction sum), one
-    complex division per other active index: ``a`` sums per sweep in
+    (x_j - x_l)**alpha_l of ``a(m - 1)`` ordered pairs (one complex ``**``
+    where alpha_l > 1, none for a simple root) and reduces each active row
+    to its deflation sum and product.  The generalized step's build also
+    forms one ``**`` numerator per active index once two are active.
+    Complex ``**`` with an exponent up to 100 has the bits of
+    `integer_power` (CPython runs the same binary powering), and beyond
+    100 the kernel calls `integer_power` itself.  A TOTAL_STEP sweep makes
+    one build, which checks all ``m(m - 1)/2`` pairs.  A SERIAL sweep
+    builds before each update but keeps the table of pair terms, so after
+    a component moves only the ``(m - 1) + (a - 1)`` pairs of its row and
+    column are formed again, and only its ``m - 1`` pairs are checked for
+    collisions (all pairs only where the move raised max(1, max|x_i|), and
+    with it the collision limit, above the previous build's): O(m) work
+    per moved component instead of O(a m).  Every row is still reduced in
+    full, in the order of a full build, so results and errors are bitwise
+    those of building from scratch before each update.  Each update forms
+    its own index's neighbour sum (the generalized step's correction sum),
+    one complex division per other active index: ``a`` sums per sweep in
     either mode.
     """
 
@@ -221,10 +227,25 @@ def _check_collisions(values, frozen, limit):
             if frozen[i] and frozen[j]:
                 continue
             if abs(values[i] - values[j]) <= limit:
-                raise CollisionError(
-                    f"approximations {j} and {i} are within {limit:.3e} "
-                    f"of each other: {values[j]!r} ~ {values[i]!r}"
-                )
+                _raise_collision(values, j, i, limit)
+
+
+def _check_pairs_of(values, limit, k):
+    # `_check_collisions` on the pairs that involve index k alone, for an
+    # active k (none of its pairs is inert), in the order of the full scan:
+    # (j, k) for j < k, then (k, j) for j > k.  So where every other pair
+    # passes, both raise the same error.
+    x_k = values[k]
+    for j, x_j in enumerate(values):
+        if j != k and abs(x_j - x_k) <= limit:
+            _raise_collision(values, min(j, k), max(j, k), limit)
+
+
+def _raise_collision(values, j, i, limit):
+    raise CollisionError(
+        f"approximations {j} and {i} are within {limit:.3e} "
+        f"of each other: {values[j]!r} ~ {values[i]!r}"
+    )
 
 
 def q_log_derivative(
@@ -264,11 +285,9 @@ def q_product(
 
 def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
-    # Only pairs that involve ``index`` are checked, by the solver's scan
-    # with every other index marked frozen.
+    # Only pairs that involve ``index`` are checked.
     vec = _checked_index(values, multiplicities, index)
-    others_frozen = [l != index for l in range(len(vec))]
-    _check_collisions(vec, others_frozen, _collision_limit(vec))
+    _check_pairs_of(vec, _collision_limit(vec), index)
     return _reduce_row(_row(vec, multiplicities, index))
 
 
@@ -345,12 +364,31 @@ def build_step_workspace(
     return _gek_terms(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
 
 
+def _power(base, exponent):
+    # base**exponent for an int exponent >= 0, bitwise `integer_power`'s:
+    # for exponents up to 100 CPython's complex ** runs the same binary
+    # powering (c_powu: the same products, in the same order, from 1 + 0j)
+    # and raises OverflowError where a part is infinite.  Larger exponents,
+    # and powers that are not finite, go to `integer_power`, which raises
+    # its own NonFiniteError there.
+    if exponent <= 100:
+        try:
+            power = base ** exponent
+        except OverflowError:
+            pass
+        else:
+            if isfinite(power.real) and isfinite(power.imag):
+                return power
+    return integer_power(base, exponent)
+
+
 def _pair_term(x_j, x_l, alpha_l):
     # The deflation terms of the ordered pair (j, l): with d = x_j - x_l,
     # the log-derivative term alpha_l / d and the product factor d**alpha_l,
-    # which is d itself for a simple root.
+    # which is d itself for a simple root (d ** 1 = (1 + 0j) * d can differ
+    # from d in the sign of a zero part).
     d = x_j - x_l
-    return alpha_l / d, d if alpha_l == 1 else integer_power(d, alpha_l)
+    return alpha_l / d, d if alpha_l == 1 else _power(d, alpha_l)
 
 
 def _row(vec, multiplicities, j):
@@ -379,7 +417,8 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     sum_{l != j} alpha_l / (x_j - x_l) and the deflating product
     prod_{l != j} (x_j - x_l)**alpha_l.
 
-    The pairs are first checked for collisions.  ``rows[j]`` is `_row` j
+    The pairs are first checked for collisions, unless ``moved`` is set:
+    `_serial_sweep` checks those builds itself.  ``rows[j]`` is `_row` j
     of the table for an active j.  With ``moved`` None every active row is
     built.  Otherwise the table was filled at a vector that differs from
     ``vec`` in component ``moved`` alone, and only row ``moved`` and
@@ -391,7 +430,8 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
     """
-    _check_collisions(vec, flags, _collision_limit(vec))
+    if moved is None:
+        _check_collisions(vec, flags, _collision_limit(vec))
     kernel: list[Optional[tuple]] = [None] * len(vec)
     for j in range(len(vec)):
         if flags[j]:
@@ -406,7 +446,9 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
             row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
                                                   multiplicities[moved])
         qlog, qprod = _reduce_row(row)
-        kernel[j] = pair, qlog, require_finite(qprod, "deflating product")
+        if not (isfinite(qprod.real) and isfinite(qprod.imag)):
+            require_finite(qprod, "deflating product")
+        kernel[j] = pair, qlog, qprod
     return kernel
 
 
@@ -441,7 +483,7 @@ def _gek_terms(poly, vec, multiplicities, flags, cfg, evals, rows, moved=None):
         s_j = svals[j] = deriv / value - qlog
         if two_active:
             alpha_j = multiplicities[j]
-            numer = alpha_j * value * integer_power(s_j / alpha_j, alpha_j - 1)
+            numer = alpha_j * value * _power(s_j / alpha_j, alpha_j - 1)
             terms.append((j, numer, qprod, vec[j]))
     return svals, terms
 
@@ -454,15 +496,29 @@ def _serial_sweep(vec, flags, prepare, update):
     the (A, A') pairs in ``evals`` and the pair-term table in ``rows``
     (see `_deflate`); ``update(current, prepared, i)`` then returns the
     new x_i.  Only the moved component is evaluated again.
+
+    The first build checks every pair for collisions.  Before a later one
+    only the moved component's pairs are checked: every other pair is
+    unchanged and passed the previous check, at a limit no smaller, unless
+    the limit has grown (a component moved beyond max(1, max|x|)); then
+    every pair is checked again.  Either way the first colliding pair of
+    a full scan raises.
     """
     m = len(vec)
     current = list(vec)
     evals = [None] * m
     rows = [None] * m
     moved = None
+    limit = _collision_limit(vec)
     for i in range(m):
         if flags[i]:
             continue
+        if moved is not None:
+            checked, limit = limit, _collision_limit(current)
+            if limit > checked:
+                _check_collisions(current, flags, limit)
+            else:
+                _check_pairs_of(current, limit, moved)
         prepared = prepare(current, evals, rows, moved)
         current[i] = update(current, prepared, i)
         evals[i] = None
@@ -476,7 +532,10 @@ def _corrected(vec, index, numer, den, floor):
         raise SingularDenominatorError(
             f"denominator {abs(den):.3e} at index {index} is numerically zero"
         )
-    return require_finite(vec[index] - numer / den, f"updated approximation {index}")
+    new = vec[index] - numer / den
+    if not (isfinite(new.real) and isfinite(new.imag)):
+        require_finite(new, f"updated approximation {index}")
+    return new
 
 
 def _gek_update(vec, multiplicities, prepared, index):
@@ -484,7 +543,9 @@ def _gek_update(vec, multiplicities, prepared, index):
     # checked before the s-value, so the faults of one index still come in
     # the order they had when every sum was formed ahead of the updates.
     s_values, terms = prepared
-    correction = require_finite(_neighbour_sum(vec, index, terms), "correction sum")
+    correction = _neighbour_sum(vec, index, terms)
+    if not (isfinite(correction.real) and isfinite(correction.imag)):
+        require_finite(correction, "correction sum")
     s_i = s_values[index]
     if s_i is None:
         raise ResidualZeroError(index, 0.0)
@@ -648,8 +709,8 @@ def solve(
     for the residuals of the updated components.  A frozen component is
     copied through the sweep bitwise unchanged, so its residual is carried
     from the record before instead of evaluated again.  Only a call at a
-    new point costs a Horner pass; a repeated point costs a lookup of the
-    pair kept by `eval_with_derivative`.
+    new point costs a Horner pass; a repeated point costs a dictionary
+    probe for the pair kept by `eval_with_derivative`.
 
     Parameters
     ----------

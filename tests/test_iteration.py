@@ -636,6 +636,27 @@ class TestOneEvaluationPerPoint:
             assert got == want
             assert got[0] == error
 
+    @pytest.mark.parametrize("mode", list(UpdateMode))
+    def test_non_finite_guards_keep_their_messages(self, mode):
+        cfg = SolveConfig(update_mode=mode)
+        # Component 0 is the only active one; components 1 and 2, frozen
+        # 1e200 away on either side, make its deflating product overflow.
+        poly = poly_from_roots(RootSystem((0, 1, 2), (1, 1, 1)))
+        approx, flags = (0.1, 1e200, -1e200), (False, True, True)
+        want = ("NonFiniteError", "deflating product is not finite: (-inf+0j)")
+        assert _outcome(gek_step, poly, approx, (1,) * 3, cfg, flags) == want
+        assert _outcome(ek_step, poly, approx, cfg, flags) == want
+        assert _outcome(_ref_gek_step, poly, approx, (1,) * 3, cfg, flags) == want
+        # Five components within 3e-11 of each other where |A| ~ 1e300:
+        # their products are tiny, so the neighbour sums are not finite.
+        poly = MonicPolynomial((0, 0, 0, 0, 1e300))
+        approx, flags = (0.0, 1e-11, 2e-11j, -1.5e-11, 3e-11 + 1e-11j), (False,) * 5
+        (gek, gek_ref), (ek, ek_ref) = _both_kinds(poly, approx, (1,) * 5, flags, mode)
+        assert gek == gek_ref == ("NonFiniteError",
+                                  "correction sum is not finite: (nan+nanj)")
+        assert ek == ek_ref == ("NonFiniteError",
+                                "updated approximation 0 is not finite: (nan+nanj)")
+
     def test_serial_collision_with_moved_component(self):
         # The start vector passes the collision check, but component 0's
         # update lands 4e-13 from component 2, so the check before the
@@ -673,27 +694,27 @@ class TestOneEvaluationPerPoint:
         (True, False, False, True) + (False,) * 8,
         (False,) * 11 + (True,),
     ])
-    def test_integer_power_calls_per_serial_sweep(self, monkeypatch, frozen):
+    def test_power_calls_per_serial_sweep(self, monkeypatch, frozen):
         m = 12
         mults = (1, 2, 3) * 4
         roots = tuple(2 * np.exp(2j * np.pi * k / m) for k in range(m))
         poly = poly_from_roots(RootSystem(roots, mults))
         approx = perturbed(np.random.default_rng(3), roots, 0.05)
         calls = []
-        counted = iteration.integer_power
+        counted = iteration._power
 
         def counting(base, exponent):
             calls.append(exponent)
             return counted(base, exponent)
 
-        monkeypatch.setattr(iteration, "integer_power", counting)
+        monkeypatch.setattr(iteration, "_power", counting)
         gek_step(poly, approx, mults,
                  SolveConfig(update_mode=UpdateMode.SERIAL), frozen)
         active = [i for i in range(m) if not frozen[i]]
         a = len(active)
 
         def row_powers(j):
-            # a pair (j, l) calls integer_power only for alpha_l > 1: a
+            # a pair (j, l) forms a power only for alpha_l > 1: a
             # simple root's factor is the difference itself
             return sum(mults[l] > 1 for l in range(m) if l != j)
 
@@ -770,6 +791,111 @@ class TestOneEvaluationPerPoint:
             summed.clear()
             step()
             assert summed == [i for i in range(6) if not frozen[i]]
+
+
+def _collision_outcome(check, *args):
+    try:
+        result = check(*args)
+    except CollisionError as exc:
+        return "CollisionError", str(exc)
+    return "ok", result
+
+
+def _scripted_sweep(vec, flags, moves):
+    """`_serial_sweep` over ``vec`` where component i moves to moves[i]; the
+    first build checks every pair, as `_deflate` does."""
+    def prepare(current, evals, rows, moved):
+        if moved is None:
+            iteration._check_collisions(current, flags, _collision_limit(current))
+
+    def update(current, prepared, i):
+        return moves[i]
+
+    return iteration._serial_sweep(tuple(vec), flags, prepare, update)
+
+
+def _ref_scripted_sweep(vec, flags, moves):
+    # every pair checked before every build
+    current = list(vec)
+    for i in range(len(current)):
+        if not flags[i]:
+            iteration._check_collisions(current, flags, _collision_limit(current))
+            current[i] = moves[i]
+    return tuple(current)
+
+
+class TestSerialCollisionCheck:
+    # Before a serial build after the first, only the moved component's
+    # pairs are checked while the collision limit has not grown; errors
+    # are those of checking every pair before every build.
+
+    @pytest.mark.parametrize("vec,flags,moves,first_words", [
+        # component 1 lands next to component 0, a lower index
+        ((0.0, 1.0, 3.0), (False,) * 3, (0.0, 5e-13, 3.0), "approximations 0 and 1 "),
+        # component 0 lands next to component 2, a higher index; max|x| stays 3
+        ((0.0, 1.0, 3.0), (False,) * 3, (3.0 - 2e-12, 1.0, 3.0), "approximations 0 and 2 "),
+        # component 1 lands next to both 0 and 2: the lower pair comes first
+        ((0.0, 1.0, 1.6e-12), (False,) * 3, (0.0, 8e-13, 1.6e-12), "approximations 0 and 1 "),
+        # component 0 moves beyond max|x| = 1, so the limit doubles and the
+        # unmoved pair (1, 2), 1.5e-12 apart, now collides; no later build
+        # checks that pair for a move of its own
+        ((1.0, 0.25, 0.25 + 1.5e-12), (False,) * 3, (2.0, 0.5, 0.3),
+         "approximations 1 and 2 "),
+        # the limit shrinks from 4e-12 to 1e-12, then component 1 collides
+        ((4.0, 0.25, 0.25 + 5e-12), (False,) * 3, (1.0, 1.0 + 5e-13, 0.3),
+         "approximations 0 and 1 "),
+        # the frozen pair (1, 2) is skipped, whether the limit grows or not
+        ((1.0, 0.25, 0.25 + 5e-13), (False, True, True), (2.0, 0.0, 0.0), None),
+        ((1.0, 0.25, 0.25 + 5e-13, -1.0), (False, True, True, False),
+         (0.5, 0.0, 0.0, -0.5), None),
+    ])
+    def test_same_error_as_checking_every_pair(self, vec, flags, moves, first_words):
+        got = _collision_outcome(_scripted_sweep, vec, flags, moves)
+        assert got == _collision_outcome(_ref_scripted_sweep, vec, flags, moves)
+        if first_words is None:
+            assert got[0] == "ok"
+        else:
+            assert got[0] == "CollisionError" and got[1].startswith(first_words)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("frozen", [(False,) * 5, (True, False, True, True, False),
+                                        (True,) * 5])
+    def test_pairs_of_one_index_match_the_full_scan(self, k, frozen):
+        # Every pair but those of k is at least 1 apart; k sits 1e-13 from
+        # each other point in turn, so the full scan can fail only at k's
+        # pairs.  k is active, as a moved component is; the others' flags
+        # do not matter.
+        flags = frozen[:k] + (False,) + frozen[k + 1:]
+        base = [complex(j, 0.5 * j) for j in range(5)]
+        limit = _collision_limit(base)
+        for j in range(5):
+            vec = list(base)
+            vec[k] = base[j] + 1e-13 if j != k else base[k]
+            want = _collision_outcome(iteration._check_collisions, vec, flags, limit)
+            assert _collision_outcome(iteration._check_pairs_of, vec, limit, k) == want
+            assert want[0] == ("ok" if j == k else "CollisionError")
+
+    @pytest.mark.parametrize("moves,full_scans", [
+        ((0.5, 1.5, 2.5, 3.5), 1),     # max|x| never grows: only the first build
+        ((4.5, 1.5, 2.5, 3.5), 2),     # component 0 moves out once
+        ((4.5, 5.0, 5.5, 3.5), 4),     # every build after a move that grows it
+    ])
+    def test_full_scans_only_where_the_limit_grows(self, monkeypatch, moves, full_scans):
+        calls = []
+
+        def counting(name):
+            counted = getattr(iteration, name)
+
+            def check(*args):
+                calls.append(name)
+                return counted(*args)
+            return check
+
+        for name in ("_check_collisions", "_check_pairs_of"):
+            monkeypatch.setattr(iteration, name, counting(name))
+        _scripted_sweep((1.0, 2.0, 3.0, 4.0), (False,) * 4, moves)
+        assert calls.count("_check_collisions") == full_scans
+        assert len(calls) == 4  # one check per build
 
 
 class TestSolve:

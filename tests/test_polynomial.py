@@ -470,6 +470,49 @@ class TestPointMemo:
             eval_with_derivative(SEXTIC, 0.5)
         assert len(passes) == 1
 
+    # A point is looked up before it is checked, and a complex one is not
+    # converted.
+
+    def test_complex_repeat_returns_the_kept_pair(self):
+        z = complex(1.25, -0.5)
+        reset_memo()
+        first = eval_with_derivative(SEXTIC, z)
+        with counted_passes() as passes:
+            again = eval_with_derivative(SEXTIC, complex(1.25, -0.5))
+        assert passes == []
+        assert again is first
+        assert outcome(eval_with_derivative, SEXTIC, z) == cold_outcome(SEXTIC, z)
+
+    @pytest.mark.parametrize("kept,equal", [(2 + 0j, 2.0), (2 + 0j, 2), (-3 - 0j, -3),
+                                            (complex(-0.0, 0.0), 0.0)])
+    def test_float_or_int_equal_to_a_kept_point_returns_its_pair(self, kept, equal):
+        reset_memo()
+        first = eval_with_derivative(SEXTIC, kept)
+        with counted_passes() as passes:
+            assert eval_with_derivative(SEXTIC, equal) is first
+        assert passes == []
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                     complex(-math.inf, math.nan), math.nan, -math.inf])
+    def test_non_finite_point_raises_with_points_kept(self, bad):
+        reset_memo()
+        for z in (0j, 1 + 1j, complex(1e308, 0.0)):
+            outcome(eval_with_derivative, SEXTIC, z)
+        with pytest.raises(NonFiniteError, match="evaluation point is not finite"):
+            eval_with_derivative(SEXTIC, bad)
+
+    def test_complex_point_kept_for_another_polynomial_is_evaluated_again(self):
+        other = MonicPolynomial((1.5, -0.25j, 3.0))
+        z = complex(0.5, 0.75)
+        want = cold_outcome(other, z), cold_outcome(SEXTIC, z)
+        reset_memo()
+        eval_with_derivative(SEXTIC, z)
+        with counted_passes() as passes:
+            got = (outcome(eval_with_derivative, other, z),
+                   outcome(eval_with_derivative, SEXTIC, z))
+        assert got == want
+        assert len(passes) == 2
+
     def test_polynomial_equality_hash_and_repr_ignore_the_memo(self):
         twin = MonicPolynomial(SEXTIC.low_coefficients)
         before = (vars(SEXTIC).copy(), hash(SEXTIC), repr(SEXTIC), pickle.dumps(SEXTIC))

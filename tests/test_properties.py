@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from multiroots import (
     MonicPolynomial,
+    NonFiniteError,
     RootSystem,
     error_bound,
     eval_with_derivative,
@@ -16,7 +17,7 @@ from multiroots import (
     q_log_derivative,
     separation,
 )
-from multiroots.iteration import q_product
+from multiroots.iteration import _power, q_product
 from multiroots.polynomial import integer_power
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0,
@@ -127,6 +128,69 @@ def test_integer_power_matches_repeated_multiplication(base, exponent):
         expected *= base
     got = integer_power(base, exponent)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+# Parts of a power's base: signed zeros, subnormals, the ends of the range,
+# any finite binary64 number, and magnitudes near 1 whose high powers stay
+# finite.  ldexp(m, e) with |m| <= 1 and e <= 1023 cannot overflow.
+power_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1.7976931348623157e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1100, 1023)),
+    st.floats(-1.1, 1.1),
+)
+
+
+def _power_outcome(power, base, exponent):
+    """("ok", bits) of a finite power, else ("non-finite", None)."""
+    try:
+        got = power(base, exponent)
+    except (OverflowError, NonFiniteError):
+        return "non-finite", None
+    if not (math.isfinite(got.real) and math.isfinite(got.imag)):
+        return "non-finite", None
+    return "ok", struct.pack("<dd", got.real, got.imag)
+
+
+def _assert_power_is_integer_power(base, exponent):
+    # The kernel forms its powers with complex ** (`iteration._power`); for
+    # exponents up to 100 CPython runs integer_power's binary powering, so
+    # every finite result has its bits, and where one side is not finite
+    # neither is the other and the helper raises integer_power's error.
+    want = _power_outcome(integer_power, base, exponent)
+    assert _power_outcome(pow, base, exponent) == want, (base, exponent)
+    if want[0] == "ok":
+        assert _power_outcome(_power, base, exponent) == want, (base, exponent)
+    else:
+        with pytest.raises(NonFiniteError, match="^integer_power"):
+            _power(base, exponent)
+
+
+@given(st.builds(complex, power_parts, power_parts), st.integers(0, 100))
+@settings(max_examples=1000, deadline=None)
+@example(complex(-0.0, 0.0), 1)
+@example(complex(1e154, 1e154), 2)
+@example(complex(0.0, -5e-324), 3)
+@example(complex(1.0000001, -1e-300), 100)
+def test_complex_power_is_integer_power_bit_for_bit(base, exponent):
+    _assert_power_is_integer_power(base, exponent)
+
+
+def test_complex_power_on_a_grid_of_special_bases():
+    parts = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -0.7, 1.0000001, -1.5,
+             1e154, -1e300, 1.7976931348623157e308)
+    for re_part in parts:
+        for im_part in parts:
+            for exponent in range(101):
+                _assert_power_is_integer_power(complex(re_part, im_part), exponent)
+
+
+@pytest.mark.parametrize("exponent", [101, 150])
+def test_power_beyond_100_is_integer_power(exponent):
+    for base in (complex(1.0001, -0.002), complex(-0.0, 0.999), complex(3.0, 4.0)):
+        assert _power_outcome(_power, base, exponent) == \
+            _power_outcome(integer_power, base, exponent)
 
 
 @given(st.floats(0.01, 10.0), st.floats(0.01, 0.99), st.integers(0, 6))
