@@ -4,16 +4,21 @@ Problems arrive as a single JSON document (file or stdin): either explicit
 monic coefficients or roots-with-multiplicities, plus initial
 approximations and an optional solver ``config`` object, the only way to
 configure a solve.  Complex numbers are two-element arrays [re, im]; bare
-numbers are accepted as reals.
+numbers are accepted as reals.  ``demo`` is ``solve`` on the built-in
+`DEMO_DOCUMENT`.
 
 JSON booleans are not numbers here, although Python's ``bool`` is an
 ``int``.
 
+Formats: ``solve`` and ``demo`` write json, csv or table; ``check-theorem``
+and ``order`` write json or table.
+
 Exit codes: 0 ok/guaranteed (and ``--help``), 1 input error, usage error
 (argparse's message on stderr) or standard output closed by its reader
-before the output was written (``... | head``), 2 max-iterations reached,
-3 numerical failure (collision/singular denominator/overflow), 4 guarantee
-not established.
+before the output was written (``... | head``), 2 max-iterations reached
+(``solve`` and ``demo``; ``order`` exits 0 whenever it fits orders, after
+Converged or MaxIterations), 3 numerical failure (collision/singular
+denominator/overflow), 4 guarantee not established.
 """
 
 from __future__ import annotations
@@ -53,18 +58,17 @@ _STATUS_EXIT = {
 }
 
 # Built-in demonstration problem: a degree-6 polynomial with a double, a
-# simple and a triple root, solved from deliberately rough guesses.
-DEMO_ROOTS = (complex(-2.0), complex(1.0), complex(3.0))
-DEMO_MULTIPLICITIES = (2, 1, 3)
-DEMO_INITIAL = (complex(-3.0), complex(0.1), complex(4.0))
-DEMO_CONFIG = SolveConfig(
-    max_iterations=20,
-    step_tolerance=1e-15,
-    # Keep every component live through the shallow-residual phase near the
-    # multiple roots (the exact residual at the triple root is ~1.6e-23
-    # after two sweeps); freezing then catches the exact landings.
-    residual_tolerance=1e-26,
-)
+# simple and a triple root, solved from deliberately rough guesses.  The
+# residual tolerance keeps every component live through the shallow-residual
+# phase near the multiple roots (the exact residual at the triple root is
+# ~1.6e-23 after two sweeps); freezing then catches the exact landings.
+DEMO_DOCUMENT = """{
+  "roots": [-2, 1, 3],
+  "multiplicities": [2, 1, 3],
+  "initial": [-3, 0.1, 4],
+  "config": {"max_iterations": 20, "step_tolerance": 1e-15,
+             "residual_tolerance": 1e-26}
+}"""
 
 
 #: Largest multiplicity `solve` and `order` accept: an input bound, checked
@@ -363,17 +367,16 @@ def _read_input(path: Optional[str]) -> str:
 
 
 def cmd_solve(args) -> int:
-    spec = parse_problem(_read_input(args.input))
+    text = DEMO_DOCUMENT if args.command == "demo" else _read_input(args.input)
+    spec = parse_problem(text)
     report = solve(spec.poly, spec.multiplicities, spec.initial, spec.config)
     emit_report(report, args.format, sys.stdout)
     return _STATUS_EXIT[report.status]
 
 
-def cmd_demo(args) -> int:
-    poly = poly_from_roots(RootSystem(DEMO_ROOTS, DEMO_MULTIPLICITIES))
-    report = solve(poly, DEMO_MULTIPLICITIES, DEMO_INITIAL, DEMO_CONFIG)
-    emit_report(report, args.format, sys.stdout)
-    return _STATUS_EXIT[report.status]
+def _print_fields(fmt: str, data: dict, lines) -> None:
+    # ``data`` as one canonical JSON object, or else ``lines`` one per line.
+    print(canonical_json(data) if fmt == "json" else "\n".join(lines))
 
 
 def cmd_check_theorem(args) -> int:
@@ -381,15 +384,14 @@ def cmd_check_theorem(args) -> int:
     if roots is None:
         raise ProblemSpecError("input: check-theorem needs 'roots'")
     result = theorem_check(RootSystem(roots, mults), args.c, args.q)
-    if args.format == "json":
-        print(canonical_json(vars(result)))
-    else:
-        for key, value in vars(result).items():
-            if isinstance(value, float):
-                value = format_float(value)
-            elif isinstance(value, tuple):
-                value = "[" + ", ".join(format_float(v) for v in value) + "]"
-            print(f"{key}: {value}")
+    lines = []
+    for key, value in vars(result).items():
+        if isinstance(value, float):
+            value = format_float(value)
+        elif isinstance(value, tuple):
+            value = "[" + ", ".join(map(format_float, value)) + "]"
+        lines.append(f"{key}: {value}")
+    _print_fields(args.format, vars(result), lines)
     return EXIT_OK if result.guaranteed else EXIT_NO_GUARANTEE
 
 
@@ -409,21 +411,19 @@ def cmd_order(args) -> int:
         orders = estimate_order(report.trace, rs)
     except InsufficientDataError:
         orders = [None] * rs.m
-    if args.format == "json":
-        print(canonical_json({
-            "status": report.status.value,
-            "iterations_used": report.iterations_used,
-            "orders": orders,
-        }))
-    else:
-        for i, order in enumerate(orders):
-            shown = "n/a" if order is None else format_float(order)
-            print(f"root {i}: order {shown}")
+    data = {"status": report.status.value,
+            "iterations_used": report.iterations_used, "orders": orders}
+    _print_fields(args.format, data, [
+        f"root {i}: order {'n/a' if order is None else format_float(order)}"
+        for i, order in enumerate(orders)])
     return EXIT_OK
 
 
-def _add_common_flags(parser, with_input=True):
-    parser.add_argument("--format", choices=("json", "csv", "table"),
+_REPORT_FORMATS = ("json", "csv", "table")
+
+
+def _add_common_flags(parser, formats=("json", "table"), with_input=True):
+    parser.add_argument("--format", choices=formats,
                         default="table", help="output format (default: table)")
     if with_input:
         parser.add_argument("--input", default=None,
@@ -439,12 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a problem from JSON input")
-    _add_common_flags(p_solve)
+    _add_common_flags(p_solve, _REPORT_FORMATS)
     p_solve.set_defaults(func=cmd_solve)
 
     p_demo = sub.add_parser("demo", help="run the built-in sextic demo problem")
-    _add_common_flags(p_demo, with_input=False)
-    p_demo.set_defaults(func=cmd_demo)
+    _add_common_flags(p_demo, _REPORT_FORMATS, with_input=False)
+    p_demo.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check-theorem",
                              help="evaluate the convergence guarantee")

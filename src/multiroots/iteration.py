@@ -317,19 +317,18 @@ def s_value(
     values: Sequence[complex],
     multiplicities: Sequence[int],
     index: int,
-    *,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
 ) -> complex:
     """Multiplicity-deflated logarithmic derivative A'/A - Q'/Q at one index.
 
     Undefined where the residual |A(x_index)| is at or below
-    ``residual_tolerance``; such an index should be frozen by the caller
-    (ResidualZeroError is raised to say so).  Q'/Q is `q_log_derivative`,
-    with its errors, collisions under the fixed rule among them.
+    `DEFAULT_RESIDUAL_TOLERANCE` (1e-12); such an index should be frozen by
+    the caller (ResidualZeroError is raised to say so).  Q'/Q is
+    `q_log_derivative`, with its errors, collisions under the fixed rule
+    among them.
     """
     vec = _checked_index(values, multiplicities, index)
     value, deriv = eval_with_derivative(poly, vec[index])
-    if abs(value) <= residual_tolerance:
+    if abs(value) <= DEFAULT_RESIDUAL_TOLERANCE:
         raise ResidualZeroError(index, abs(value))
     return deriv / value - q_log_derivative(vec, multiplicities, index)
 
@@ -702,7 +701,9 @@ def solve(
     the run converges when every component is frozen or the largest step
     is at or below the step tolerance.  Tolerances are checked after each
     sweep, before the iteration budget, so a run that converges on its
-    last allowed sweep reports Converged.
+    last allowed sweep reports Converged.  A vector that meets them with
+    two approximations within the collision limit of each other (frozen
+    ones included) reports Collision instead.
 
     The starting vector costs ``m`` evaluation calls.  A sweep with ``a``
     components active costs its step's calls (see `UpdateMode`) plus ``a``
@@ -753,8 +754,18 @@ def solve(
             trace=tuple(records),
         )
 
+    def converged(iterations):
+        # A sweep skips the pairs of frozen components, so the reported
+        # vector is checked in full: two approximations of one root are
+        # a collision, not a convergence.
+        try:
+            _check_collisions(vec, (False,) * m, _collision_limit(vec))
+        except CollisionError:
+            return report(SolveStatus.COLLISION, iterations)
+        return report(SolveStatus.CONVERGED, iterations)
+
     if all(frozen):
-        return report(SolveStatus.CONVERGED, 0)
+        return converged(0)
     if any(not math.isfinite(r) for r in residuals):
         return report(SolveStatus.OVERFLOW, 0)
 
@@ -786,6 +797,6 @@ def solve(
         if any(not math.isfinite(r) for r in residuals):
             return report(SolveStatus.OVERFLOW, k)
         if all(frozen) or max(steps) <= cfg.step_tolerance:
-            return report(SolveStatus.CONVERGED, k)
+            return converged(k)
 
     return report(SolveStatus.MAX_ITERATIONS, cfg.max_iterations)

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from multiroots import SolveConfig
 from multiroots.cli import (
+    DEMO_DOCUMENT,
     EXIT_INPUT,
     EXIT_MAX_ITERATIONS,
     EXIT_NO_GUARANTEE,
@@ -15,6 +17,7 @@ from multiroots.cli import (
     main,
     parse_problem,
 )
+from conftest import DEMO_INITIAL, DEMO_MULTS, DEMO_ROOTS
 
 DEMO_PROBLEM = {
     "roots": [[-2, 0], [1, 0], [3, 0]],
@@ -178,9 +181,13 @@ class TestSolveCommand:
         assert code == EXIT_INPUT
         assert "input" in err
 
-    def test_coincident_initial_exits_three(self, capsys, monkeypatch):
-        doc = json.loads(json.dumps(DEMO_PROBLEM))
-        doc["initial"] = [[4, 0], [4, 0], [0.1, 0]]
+    @pytest.mark.parametrize("doc", [
+        dict(DEMO_PROBLEM, initial=[[4, 0], [4, 0], [0.1, 0]]),
+        # both starts sit on the root 1, so both freeze before any sweep
+        {"roots": [[1, 0], [2, 0]], "multiplicities": [1, 1],
+         "initial": [[1, 0], [1, 0]]},
+    ], ids=["active", "frozen"])
+    def test_coincident_initial_exits_three(self, capsys, monkeypatch, doc):
         code, out, _ = run_main(capsys, ["solve", "--format", "json"],
                                 json.dumps(doc), monkeypatch)
         assert code == EXIT_NUMERICAL
@@ -290,6 +297,9 @@ class TestUsage:
         ["solve", "--res-tol", "1e-26"],
         ["solve", "--mode", "serial"],
         ["order", "--mode", "serial"],
+        # csv is a trace format: only solve and demo write it
+        ["order", "--format", "csv"],
+        ["check-theorem", "--c", "0.1", "--q", "0.5", "--format", "csv"],
     ], ids=lambda argv: " ".join(argv) or "no-command")
     def test_usage_error_exits_one(self, capsys, monkeypatch, argv):
         code, out, err = run_main(capsys, argv, json.dumps(DEMO_PROBLEM),
@@ -309,6 +319,26 @@ class TestUsage:
 
 
 class TestDemoCommand:
+    def test_demo_document_is_the_showcase_problem(self):
+        spec = parse_problem(DEMO_DOCUMENT)
+        assert spec.roots == DEMO_ROOTS
+        assert spec.multiplicities == DEMO_MULTS
+        assert spec.initial == DEMO_INITIAL
+        assert spec.config == SolveConfig(max_iterations=20, step_tolerance=1e-15,
+                                          residual_tolerance=1e-26)
+
+    def test_readme_shows_the_demo_document(self):
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            assert f"```json\n{DEMO_DOCUMENT}\n```" in fh.read()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    def test_demo_is_solve_on_the_demo_document(self, capsys, monkeypatch, fmt):
+        demo = run_main(capsys, ["demo", "--format", fmt])
+        assert demo == run_main(capsys, ["solve", "--format", fmt],
+                                DEMO_DOCUMENT, monkeypatch)
+        assert demo[0] == EXIT_OK
+
     def test_demo_converges_in_three_iterations(self, capsys):
         code, out, _ = run_main(capsys, ["demo"])
         assert code == EXIT_OK

@@ -469,13 +469,8 @@ def _ref_ek_update(poly, vec, index, flags, limit):
         if j == index or flags[j]:
             continue
         a_j, _ = eval_with_derivative(poly, vec[j])
-        w_j = complex(1.0)
-        for l in range(m):
-            if l != j:
-                w_j *= vec[j] - vec[l]
-        require_finite(w_j, "deflating product")
         diff = vec[index] - vec[j]
-        neighbor += a_j / (w_j * diff * diff)
+        neighbor += a_j / (_ref_deflating_product(vec, j) * diff * diff)
     den = deriv - value * wlog + value * neighbor
     if abs(den) <= iteration.SINGULAR_DENOMINATOR_FLOOR:
         raise SingularDenominatorError(
@@ -484,6 +479,24 @@ def _ref_ek_update(poly, vec, index, flags, limit):
     new = vec[index] - value / den
     require_finite(new, f"updated approximation {index}")
     return new
+
+
+def _ref_deflating_product(vec, j):
+    w_j = complex(1.0)
+    for l in range(len(vec)):
+        if l != j:
+            w_j *= vec[j] - vec[l]
+    return require_finite(w_j, "deflating product")
+
+
+def _ref_ek_kernel(poly, vec, flags):
+    # What a sweep forms before any update, in the kernel's order: per
+    # active j its evaluation and its deflating product, checked, even
+    # where no other index needs it (a lone active j).
+    for j in range(len(vec)):
+        if not flags[j]:
+            eval_with_derivative(poly, vec[j])
+            _ref_deflating_product(vec, j)
 
 
 def _ref_ek_step(poly, values, cfg, flags):
@@ -498,8 +511,10 @@ def _ref_ek_step(poly, values, cfg, flags):
                 continue
             lim = _collision_limit(current)
             iteration._check_collisions(current, flags, lim)
+            _ref_ek_kernel(poly, current, flags)
             current[i] = _ref_ek_update(poly, current, i, flags, lim)
         return tuple(current)
+    _ref_ek_kernel(poly, vec, flags)
     return tuple(
         vec[i] if flags[i] else _ref_ek_update(poly, vec, i, flags, limit)
         for i in range(m)
@@ -647,6 +662,7 @@ class TestOneEvaluationPerPoint:
         assert _outcome(gek_step, poly, approx, (1,) * 3, cfg, flags) == want
         assert _outcome(ek_step, poly, approx, cfg, flags) == want
         assert _outcome(_ref_gek_step, poly, approx, (1,) * 3, cfg, flags) == want
+        assert _outcome(_ref_ek_step, poly, approx, cfg, flags) == want
         # Five components within 3e-11 of each other where |A| ~ 1e300:
         # their products are tiny, so the neighbour sums are not finite.
         poly = MonicPolynomial((0, 0, 0, 0, 1e300))
@@ -960,6 +976,18 @@ class TestSolve:
         report = solve(demo_poly, DEMO_MULTS, (4.0, 4.0, 0.1))
         assert report.status is SolveStatus.COLLISION
         assert report.iterations_used == 0
+
+    @pytest.mark.parametrize("mults,simple", [
+        ((1, 1), False), ((1, 1), True), ((2, 1), False),
+    ])
+    def test_coincident_frozen_starts_are_a_collision(self, mults, simple):
+        # Both starts sit on the root 1 and freeze before any sweep, whose
+        # collision scan skips pairs of frozen components.
+        poly = poly_from_roots(RootSystem((1, 2), mults))
+        report = solve(poly, mults, (1, 1), use_simple_step=simple)
+        assert report.status is SolveStatus.COLLISION
+        assert report.iterations_used == 0
+        assert report.final == (1, 1)
 
     def test_overflow_status(self):
         poly = MonicPolynomial((0, 0, 0, 0, 0, 1e300))

@@ -20,14 +20,7 @@ from multiroots import (
     solve,
     theorem_check,
 )
-from multiroots.cli import (
-    DEMO_CONFIG,
-    DEMO_INITIAL,
-    DEMO_MULTIPLICITIES,
-    DEMO_ROOTS,
-    ProblemSpec,
-    parse_problem,
-)
+from multiroots.cli import DEMO_DOCUMENT, ProblemSpec, parse_problem
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
 
@@ -45,14 +38,15 @@ SIGNATURES = {
 }
 
 
+DEMO = parse_problem(DEMO_DOCUMENT)
+
+
 def demo_report():
-    rs = RootSystem(DEMO_ROOTS, DEMO_MULTIPLICITIES)
-    return solve(poly_from_roots(rs), DEMO_MULTIPLICITIES, DEMO_INITIAL,
-                 DEMO_CONFIG)
+    return solve(DEMO.poly, DEMO.multiplicities, DEMO.initial, DEMO.config)
 
 
 def one_of_each():
-    rs = RootSystem(DEMO_ROOTS, DEMO_MULTIPLICITIES)
+    rs = RootSystem(DEMO.roots, DEMO.multiplicities)
     poly = poly_from_roots(rs)
     report = demo_report()
     check = theorem_check(rs, 0.1, 0.5)
@@ -160,7 +154,7 @@ def test_repr():
         "MonicPolynomial(low_coefficients=((1+0j), 2j))"
     assert repr(RootSystem((1, 2j), (2, 1))) == \
         "RootSystem(roots=((1+0j), 2j), multiplicities=(2, 1))"
-    assert repr(theorem_check(RootSystem(DEMO_ROOTS, DEMO_MULTIPLICITIES),
+    assert repr(theorem_check(RootSystem(DEMO.roots, DEMO.multiplicities),
                               0.1, 0.5)) == (
         "TheoremCheckResult(c=0.1, q=0.5, d=2.0, n=6, M=0.38320507944437887, "
         "N=0.09608604465483017, lhs=0.02223482284983237, "
