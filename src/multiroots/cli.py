@@ -403,16 +403,18 @@ def cmd_order(args) -> int:
             "polynomial as 'roots' with 'multiplicities'"
         )
     report = solve(spec.poly, spec.multiplicities, spec.initial, spec.config)
+    data = {"status": report.status.value,
+            "iterations_used": report.iterations_used, "orders": None}
     if report.status not in (SolveStatus.CONVERGED, SolveStatus.MAX_ITERATIONS):
-        emit_report(report, args.format, sys.stdout)
+        _print_fields(args.format, data, [f"{key}: {'n/a' if value is None else value}"
+                                          for key, value in data.items()])
         return _STATUS_EXIT[report.status]
     rs = RootSystem(spec.roots, spec.multiplicities)
     try:
         orders = estimate_order(report.trace, rs)
     except InsufficientDataError:
         orders = [None] * rs.m
-    data = {"status": report.status.value,
-            "iterations_used": report.iterations_used, "orders": orders}
+    data["orders"] = orders
     _print_fields(args.format, data, [
         f"root {i}: order {'n/a' if order is None else format_float(order)}"
         for i, order in enumerate(orders)])

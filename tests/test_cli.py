@@ -469,6 +469,20 @@ class TestOrderCommand:
         assert code == EXIT_OK
         assert json.loads(out)["orders"] == [None, None, None]
 
+    @pytest.mark.parametrize("fmt, want", [
+        ("json", '{"status": "Collision", "iterations_used": 0, "orders": null}\n'),
+        ("table", "status: Collision\niterations_used: 0\norders: n/a\n"),
+    ])
+    def test_failed_solve_prints_the_order_fields(self, capsys, monkeypatch, fmt, want):
+        # two starts on one root: Collision, exit 3, and the same three
+        # fields as after a fit, with no orders
+        doc = {"roots": [[1, 0], [2, 0]], "multiplicities": [1, 1],
+               "initial": [[1, 0], [1, 0]]}
+        code, out, _ = run_main(capsys, ["order", "--format", fmt],
+                                json.dumps(doc), monkeypatch)
+        assert code == EXIT_NUMERICAL
+        assert out == want
+
     def test_simple_root_cubic_orders_quartic_or_na(self, capsys, monkeypatch):
         # double precision saturates fourth-order runs after two usable
         # pairs, so per-root estimates are n/a unless the trace is unusually

@@ -334,7 +334,7 @@ class TestMatchesExactOracle:
 # the fixed-grid pass is not used or cannot decide the rounding).
 
 def reset_memo():
-    polynomial._last_scaled = (None, 0, [], False, [], {}, {})
+    polynomial._last_scaled = polynomial._EMPTY_ENTRY
 
 
 #: The exact passes: `_exact_pair` for complex coefficients and
@@ -816,6 +816,136 @@ class TestRealCoefficients:
             True, [abs(c.real) for c in poly.low_coefficients])
         eval_with_derivative(dense(48, 5), 0.5j)
         assert polynomial._last_scaled[3] is False
+
+
+# Polynomials in x^g.  Where n and every k with a_k != 0 are multiples of
+# g >= 2, A(x) = P(x^g), and the fixed-grid pass runs on P at z'^g' in
+# n/g' steps, g' the largest divisor of g with g' E <= 2^10 (E: z' is a
+# multiple of 2^-E).  These tests compare it with `_exact_pair` at z', bit
+# for bit, as the two-stage tests do.
+
+def spread(low, g):
+    """The low coefficients of P(x^g) for P with the low coefficients ``low``."""
+    return [low[k // g - 1] if k % g == 0 else 0j for k in range(1, g * len(low) + 1)]
+
+
+def lacunary(degree, g, seed=0, real=False):
+    return MonicPolynomial(spread(dense(degree // g, seed, real=real).low_coefficients, g))
+
+
+def gaussian_power(root, k):
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = re * root[0] - im * root[1], re * root[1] + im * root[0]
+    return re, im
+
+
+# a coefficient of P: zero (a_n = 0 included), or real or complex parts
+# spanning 1000 bits
+lacunary_coefficients = st.one_of(
+    st.just(0j), st.builds(complex, coefficient_parts),
+    st.builds(complex, coefficient_parts, coefficient_parts))
+
+
+@st.composite
+def lacunary_polys(draw):
+    """P(x^g) with g from 2 to 96 and degree up to 96, its coefficients all
+    real or not."""
+    g = draw(st.integers(2, 96))
+    low = draw(st.lists(lacunary_coefficients, min_size=1, max_size=96 // g))
+    if draw(st.booleans()):
+        low = [complex(c.real) for c in low]
+    return MonicPolynomial(spread(low, g))
+
+
+@st.composite
+def near_multiple_lacunary_roots(draw):
+    """P(x^g), g from 2 to 12, where P has a root of multiplicity 2 to 6 at
+    r^g for a Gaussian integer r (so A has one at r), and a point within
+    2^-40 of r (r itself included)."""
+    g = draw(st.integers(2, 12))
+    r = (draw(st.integers(-1, 1)), draw(st.integers(-1, 1)))
+    alpha = draw(st.integers(2, 6))
+    others = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           max_size=min(24, 96 // g) - alpha))
+    low = from_roots([gaussian_power(r, g)] * alpha + others).low_coefficients
+    offset = draw(st.sampled_from([0j, complex(ldexp(draw(st.floats(-1.0, 1.0)), -41),
+                                               ldexp(draw(st.floats(-1.0, 1.0)), -41))]))
+    return MonicPolynomial(spread(low, g)), complex(*r) + offset
+
+
+class TestLacunary:
+    @settings(max_examples=250, deadline=None)
+    @given(poly=lacunary_polys(), z=two_stage_points)
+    # x^96 - 1/2 at |z| ~ 1 (g' = 16), at |z| ~ 1e-100 (g' = 2) and at
+    # subnormal z (g' = 1); a_n = 0; complex coefficients
+    @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(0.6, 0.8))
+    @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(0.6e-100, -0.8e-100))
+    @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(5e-324, -3e-320))
+    @example(poly=MonicPolynomial(spread([0.5, -1.25, 0.0], 20)), z=complex(-0.3, 0.9))
+    @example(poly=lacunary(60, 12, 1), z=complex(0.7, -0.2))
+    @example(poly=lacunary(96, 2, 2), z=complex(1e-100, 3e-101))
+    def test_result_has_the_bits_of_the_exact_pass(self, poly, z):
+        assert_two_stage_exact(poly, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_multiple_lacunary_roots())
+    # on a 4-fold root of a real polynomial in x^6, and just off a triple
+    # root at 1 + i of a complex one in x^4
+    @example(case=(MonicPolynomial(spread(from_roots([(1, 0)] * 4 + [(2, 0)]).low_coefficients,
+                                          6)), 1 + 0j))
+    @example(case=(MonicPolynomial(spread(from_roots([(-4, 0)] * 3 + [(1, 1)]).low_coefficients,
+                                          4)), complex(1 + 2.0 ** -41, 1 - 2.0 ** -42)))
+    def test_near_a_multiple_root(self, case):
+        assert_two_stage_exact(*case)
+
+    @pytest.mark.parametrize("g", [8, 12, 16])
+    def test_derivative_bound_carries_the_factor_g_u(self, g):
+        # P = (y - 1)^6 (y + 1)^40 + 1: P' has a 5-fold zero at 1 while
+        # P(1) = 1, so near x = 1, A' = g' x^(g'-1) P'(x^g') (here g' = g,
+        # as E = 48) is decided by a few ulps, and a bound on A' that drops
+        # the factor g' |U| puts some of these points on the wrong number.
+        low = list(from_roots([(1, 0)] * 6 + [(-1, 0)] * 40).low_coefficients)
+        low[-1] += 1
+        poly = MonicPolynomial(spread(low, g))
+        for j in range(1, 41):
+            for re in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
+                assert_two_stage_exact(poly, complex(re, 0.0))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_ring_polynomial_takes_the_substituted_pass(self, real):
+        # degree 60 in x^12: at these points E <= 85, so 12 E <= 2^10, and
+        # each fixed-grid pass runs five steps at z^12 and decides
+        rng = random.Random(60)
+        poly = lacunary(60, 12, 12, real=real)
+        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
+        reset_memo()
+        with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
+            got = [outcome(eval_with_derivative, poly, z) for z in points]
+        # no exact pass; args[2] is ``real`` and args[-1] the step g'
+        assert [(name, args[2], args[-1]) for name, args in passes] == [
+            ("_fixed_grid_pair", real, 12)] * 20
+        assert polynomial._last_scaled[5] == [12, 6, 4, 3, 2]
+        assert got == [outcome(oracle_eval, poly, z) for z in points]
+
+    @pytest.mark.parametrize("z, step", [
+        (complex(0.6, 0.8), 16),  # E = 53: 16 E <= 2^10 < 24 E
+        (complex(0.6e-100, -0.8e-100), 2),  # E = 386: 2 E <= 2^10 < 3 E
+        (complex(5e-324, -3e-320), 1),  # E = 1074 > 2^10
+    ])
+    def test_large_g_e_takes_a_smaller_step(self, z, step):
+        # x^96 - 1/2 has g = 96, and z^96 would have 96 E bits per part: the
+        # pass runs at z^g' for the largest divisor g' of 96 with
+        # g' E <= 2^10
+        poly = MonicPolynomial([0] * 95 + [-0.5])
+        e, _ = polynomial.dyadic_integers((z.real, z.imag))
+        divisors = [d for d in range(1, 97) if 96 % d == 0]
+        assert step == max([1] + [d for d in divisors if d * e <= 2 ** 10]) < 96
+        reset_memo()
+        with counted_passes("_fixed_grid_pair") as passes:
+            got = outcome(eval_with_derivative, poly, z)
+        assert [args[-1] for _, args in passes] == [step]
+        assert got == exact_pass(poly, z) == outcome(oracle_eval, poly, z)
 
 
 def _is_normal_or_zero(x):
