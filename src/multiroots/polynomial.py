@@ -17,40 +17,38 @@ _GRID_BITS = 110
 #: The fixed-grid pass of `eval_with_derivative` keeps its values about this
 #: many bits (P) below Sum |a_k| |z'|^(n-k), and runs when n^2 E reaches
 #: _FIXED_GRID_WORK, where it costs less than the exact pass.  For A(x) =
-#: P(x^g) it runs on P at z'^g' (g' E <= _POWER_BITS), in n/g' steps.
+#: P(x^g) it runs on P at z'^g, in n/g steps.
 _FIXED_GRID_BITS = 256
 _FIXED_GRID_WORK = 3 * 2 ** 13
-_POWER_BITS = 2 ** 10
 
 _bits = Struct("<4d").pack
 
-#: (polynomial, F, ints, real, sizes, steps, recent, older) for the
-#: polynomial `eval_with_derivative` saw last.  ``real`` says whether every
-#: Im a_k is 0; ``ints`` is then [2^F a_1, ..., 2^F a_n], else
-#: [Re 2^F a_1, Im 2^F a_1, ..., Im 2^F a_n], with the least F >= 0 that
-#: makes these integers.  ``sizes`` and ``steps`` are empty until the
-#: polynomial's first fixed-grid pass fills them, ``steps`` first, each in
-#: one step: sizes[k-1] = max(|Re a_k|, |Im a_k|), and ``steps`` holds the
-#: divisors above 1 of g, largest first, where g is the gcd of n and of
-#: every k with a_k != 0 (A is a polynomial in x^g); a polynomial that never
-#: takes that pass (low degree, |z| ~ 1) never builds them.  A solve
-#: evaluates one polynomial many times in a row, so this one entry saves
-#: converting the coefficients on each call; a cache on every polynomial
-#: would cost several hundred bytes each.  The two dicts map a point z to
-#: its (A, A') pair: a solve evaluates each new iterate for its residual and
-#: the next sweep evaluates it again, and such a repeat costs a dict probe
-#: instead of a Horner pass.  A pair is added to ``recent``; when ``recent``
-#: holds 2n pairs the entry is replaced by one whose ``recent`` is empty and
-#: whose ``older`` is the full one, so at most 4n pairs are kept and each
-#: survives at least 2n further new points (a solve reuses a point within
-#: 2m <= 2n of them).  The tuple is replaced, never changed, so concurrent
-#: callers see a whole one; its dicts are only read and added to, never
-#: iterated, and a pair depends on the polynomial and z alone, so a lost or
-#: duplicated addition costs a Horner pass at most; ``steps`` and ``sizes``
-#: go from empty to whole in one slice assignment each, the same by every
-#: caller, and a caller that sees ``sizes`` whole sees ``steps`` whole.
-#: `_EMPTY_ENTRY` holds no polynomial, so no call uses or fills its lists.
-_EMPTY_ENTRY = (None, 0, [], False, [], [], {}, {})
+#: (polynomial, F, ints, real, reduced, recent, older) for the polynomial
+#: `eval_with_derivative` saw last.  ``real`` says whether every Im a_k is
+#: 0; ``ints`` is then [2^F a_1, ..., 2^F a_n], else [Re 2^F a_1,
+#: Im 2^F a_1, ..., Im 2^F a_n], with the least F >= 0 that makes these
+#: integers.  ``reduced`` is empty until the polynomial's first fixed-grid
+#: pass fills it, in one step, with what that pass runs on: g, the gcd of n
+#: and of every k with a_k != 0 (A(x) = P(x^g)), the entries of ``ints``
+#: for P's coefficients a_g, a_(2g), ..., a_n, and their sizes
+#: max(|Re a_k|, |Im a_k|); a polynomial that never takes that pass (low
+#: degree, |z| ~ 1) never builds it.  A solve evaluates one polynomial many
+#: times in a row, so this one entry saves converting the coefficients on
+#: each call; a cache on every polynomial would cost several hundred bytes
+#: each.  The two dicts map a point z to its (A, A') pair: a solve
+#: evaluates each new iterate for its residual and the next sweep evaluates
+#: it again, and such a repeat costs a dict probe instead of a Horner pass.
+#: A pair is added to ``recent``; when ``recent`` holds 2n pairs the entry
+#: is replaced by one whose ``recent`` is empty and whose ``older`` is the
+#: full one, so at most 4n pairs are kept and each survives at least 2n
+#: further new points (a solve reuses a point within 2m <= 2n of them).
+#: The tuple is replaced, never changed, so concurrent callers see a whole
+#: one; its dicts are only read and added to, never iterated, and a pair
+#: depends on the polynomial and z alone, so a lost or duplicated addition
+#: costs a Horner pass at most; ``reduced`` goes from empty to whole in one
+#: slice assignment, the same by every caller.  `_EMPTY_ENTRY` holds no
+#: polynomial, so no call uses or fills its list.
+_EMPTY_ENTRY = (None, 0, [], False, [], {}, {})
 _last_scaled = _EMPTY_ENTRY
 
 
@@ -140,27 +138,26 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     pass's number.  Otherwise the exact pass runs: where a part cancels
     below about 2^-200 of its terms (near a multiple root), is exactly 0
     (as at an iterate on a root), or lies below the grid altogether (A' at
-    tiny z where a_(n-1) = 0, as for x^n - a; every call there pays both
-    passes).  On the seed-1501 benchmark pools that is 100 of the 8,538
-    fixed-grid passes of `wide_total` and 43 of the 742 of
+    tiny z where a_(n-1) = 0 and g = 1, g as below; every call there pays
+    both passes).  On the seed-1501 benchmark pools that is 99 of the
+    8,538 fixed-grid passes of `wide_total` and 43 of the 742 of
     `wide_quadratic`.  So every result has the exact pass's bits.
 
     A polynomial in x^g takes fewer steps.  With g the gcd of n and of
     every k with a_k != 0 (found at the polynomial's first fixed-grid
-    pass), A(x) = P(x^g), and the fixed-grid pass runs on P at W = z'^g'
-    in n/g' steps, g' being the largest divisor of g with g' E <= 2^10 (1
-    if there is none).  U = z'^(g'-1) and W = z' U are formed exactly as
-    Gaussian integers, the recurrence and its bounds run at W unchanged,
-    and A'(z') = g' U P'(W), each part of which errs by at most
-    g' (|Re U| b + |Im U| b'), b and b' the bounds of the parts of P'(W)
-    it multiplies; the rounding test is the same, and the exact pass
-    still takes n steps at z'.  The parts of W have about g' E bits, so a
-    step costs more as g' E grows.  In a second run of the table below,
-    x^96 - 1/2 at |z| ~ 1 took 87 us with g' = 16, 131 us with g' = 32
-    (a limit of 2^11) and 348 us with g' = g = 96 (no limit), while under
-    a limit of 2^9 the even real polynomial at |z| ~ 1e-100 (E = 386) took
-    2023 us instead of 104, as g' = 1 there.  The benchmark's ring
-    polynomials, products of (x^c - s R^c)^alpha, all take the substitution.
+    pass), A(x) = P(x^g), and the fixed-grid pass runs on P at W = z'^g in
+    n/g steps.  U = z'^(g-1) and W = z' U are formed exactly as Gaussian
+    integers, the recurrence and its bounds run at W unchanged, and
+    A'(z') = g U P'(W), each part of which errs by at most
+    g (|Re U| b + |Im U| b'), b and b' the bounds of the parts of P'(W) it
+    multiplies; the rounding test is the same, and the exact pass still
+    takes n steps at z'.  The parts of W have about g E bits, so a step
+    costs more as g E grows, and where g E is large, as for x^96 - 1/2,
+    the pass can cost more than n steps at z' would (rows below).  At tiny
+    z it decides where those n steps cannot: A' of a polynomial with
+    a_(n-1) = 0 lies below the grid at z', but P'(W) need not lie below
+    the grid at W.  The benchmark's ring polynomials, products of
+    (x^c - s R^c)^alpha, all take the substitution.
 
     Per call at a new point, in us, as two-stage / exact pass alone at
     |z| ~ 1, |z| ~ 1e-100 and subnormal z (one figure where only the exact
@@ -172,21 +169,28 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     ========================  ==========  ============  ===========
     polynomial, coefficients  |z| ~ 1     |z| ~ 1e-100  subnormal z
     ========================  ==========  ============  ===========
-    dense 6, real             15          23            30 / 37
-    dense 6, complex          19          28            30 / 51
-    dense 24, real            41 / 39     34 / 92       52 / 314
-    dense 24, complex         53 / 59     46 / 172      58 / 405
-    dense 48, real            71 / 101    71 / 425      71 / 935
-    dense 48, complex         110 / 137   107 / 818     115 / 1921
-    dense 96, real            145 / 350   133 / 1868    140 / 4224
-    dense 96, complex         216 / 550   208 / 2852    226 / 7231
-    in x^12, 60, real         60 / 141    588 / 593     1171 / 1269
-    in x^12, 60, complex      56 / 232    898 / 855     1979 / 1978
-    in x^2, 96, real          99 / 330    89 / 1461     3788 / 3617
-    in x^2, 96, complex       160 / 489   149 / 2464    6385 / 6097
-    x^24 - 1/2                50 / 47     86 / 53       83 / 57
-    x^96 - 1/2                87 / 328    404 / 349     370 / 307
+    dense 6, real             8           11            16 / 20
+    dense 6, complex          10          14            15 / 25
+    dense 24, real            24 / 24     24 / 74       27 / 160
+    dense 24, complex         33 / 37     30 / 113      35 / 278
+    dense 48, real            44 / 71     41 / 282      50 / 605
+    dense 48, complex         58 / 95     52 / 397      62 / 1049
+    dense 96, real            82 / 198    71 / 1060     74 / 2187
+    dense 96, complex         108 / 283   100 / 1460    131 / 3920
+    in x^12, 60, real         50 / 134    77 / 561      62 / 656
+    in x^12, 60, complex      25 / 124    37 / 640      32 / 1283
+    in x^2, 96, real          53 / 179    50 / 1054     57 / 2305
+    in x^2, 96, complex       94 / 365    83 / 1698     69 / 3714
+    x^24 - 1/2                33 / 23     75 / 26       229 / 44
+    x^96 - 1/2                170 / 172   202 / 186     252 / 165
     ========================  ==========  ============  ===========
+
+    No row falls back.  The last two run no faster than the exact pass,
+    which for x^n - a makes cheap products: their one step at z'^g works
+    on integers of about g E bits, and A'(z') = g U P'(W) multiplies such
+    integers.  In n steps at z', without the substitution, x^24 - 1/2
+    took 25, 37 and 62 us in the same run, and x^96 - 1/2 81 us at
+    |z| ~ 1.
 
     That Horner pass is made once per point: the pairs of the last 2n to
     4n new points are kept for the polynomial evaluated last, so a call at
@@ -220,7 +224,7 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     zc = z if type(z) is complex else complex(z)
     scaled = _last_scaled
     if scaled[0] is poly:  # a kept point is finite, so a hit needs no check
-        pair = scaled[6].get(zc) or scaled[7].get(zc)
+        pair = scaled[5].get(zc) or scaled[6].get(zc)
         if pair is not None:
             return pair
     require_finite(zc, "evaluation point")
@@ -230,17 +234,17 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
         scaled = _last_scaled = (
             poly, *dyadic_integers([c.real for c in coeffs] if real else
                                    [p for c in coeffs for p in (c.real, c.imag)]),
-            real, [], [], {}, {})
+            real, [], {}, {})
     try:
         pair = _horner_pair(scaled, zc.real, zc.imag)
     except OverflowError:
         raise NonFiniteError(
             f"polynomial evaluation overflowed at z={zc!r} (degree {poly.degree})"
         ) from None
-    recent = scaled[6]
+    recent = scaled[5]
     if len(recent) >= 2 * poly.degree:
         recent, older = {}, recent
-        _last_scaled = (*scaled[:6], recent, older)
+        _last_scaled = (*scaled[:5], recent, older)
     recent[zc] = pair
     return pair
 
@@ -250,7 +254,7 @@ def _horner_pair(scaled, x, y):
     # rounded once, from the fixed-grid pass where it is used and its
     # rounding test passes, else from the exact pass; raises OverflowError
     # when a part is beyond binary64.  See `eval_with_derivative`.
-    poly, f, ints, real, sizes, steps, _, _ = scaled
+    poly, f, ints, real, reduced, _, _ = scaled
     e, (zr, zi) = dyadic_integers((x, y))
     grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
     if e > grid:  # a part has bits below the grid: evaluate at z'
@@ -259,13 +263,15 @@ def _horner_pair(scaled, x, y):
     coeffs = poly.low_coefficients
     n = len(coeffs)
     if n ** 2 * e >= _FIXED_GRID_WORK:
-        if not sizes:  # filled at the polynomial's first such pass, steps first
+        if not reduced:  # filled at the polynomial's first such pass
             g = math.gcd(n, *[k for k, c in enumerate(coeffs, start=1) if c])
-            steps[:] = [d for d in range(g, 1, -1) if g % d == 0]
-            sizes[:] = [max(abs(c.real), abs(c.imag)) for c in coeffs]
-        step = next((d for d in steps if d * e <= _POWER_BITS), 1)
+            reduced[:] = (
+                g, ints[g - 1::g] if real else [
+                    p for k in range(2 * g - 2, 2 * n, 2 * g) for p in ints[k:k + 2]],
+                [max(abs(c.real), abs(c.imag)) for c in coeffs[g - 1::g]])
+        g, p_ints, p_sizes = reduced
         try:
-            pair = _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step)
+            pair = _fixed_grid_pair(f, p_ints, real, p_sizes, e, zr, zi, g)
         except OverflowError:  # the exact pass tells whether it overflows
             pair = None
         if pair is not None:
@@ -315,36 +321,33 @@ def _exact_real_pair(f, ints, e, zr, zi):
 
 def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
     # The same pair from a pass on the grid 2^-g, or None when an error
-    # interval does not round to one binary64 number.  ``step`` divides n
-    # and every k with a_k != 0, so A(x) = P(x^step) for P with the
-    # coefficients a_step, a_(2 step), ..., a_n, and A'(x) = step x^(step-1)
-    # P'(x^step): the pass runs on P at W = z'^step, whose parts are, like
-    # those of U = z'^(step-1), exact integers (over 2^(step e) and
-    # 2^((step-1) e)), and multiplies P'(W) by step U at the end.  Until
-    # then A, n, z', e and a_k stand for P, its degree, W, step e and P's
-    # coefficients; with step 1 they are A's own.  Both loops keep their
-    # values as integers in units of 2^-g and floor every product;
-    # coefficient bits below 2^-(g+e) are floored too.  With
+    # interval does not round to one binary64 number.  A(x) = P(x^step),
+    # ``ints`` and ``sizes`` holding P's coefficients a_step, a_(2 step),
+    # ..., a_n, and A'(x) = step x^(step-1) P'(x^step): the pass runs on P
+    # at W = z'^step, whose parts are, like those of U = z'^(step-1), exact
+    # integers (over 2^(step e) and 2^((step-1) e)), and multiplies P'(W) by
+    # step U at the end.  Until then A, n, z', e and a_k stand for P, its
+    # degree, W, step e and P's coefficients; with step 1 they are A's own.
+    # Both loops keep their values as integers in units of 2^-g and floor
+    # every product; coefficient bits below 2^-(g+e) are floored too.  With
     # rho = max(1, |z'|) and s = n rho^(n-1), each carries a bound on the
     # error of every part of A (bv) and of A' (bd) in those units.  These
-    # are exact while |z'| (1 + 2^-40) <= 1; above, that factor covers the
-    # rounding of |z'| (r below errs by under (step + 3) 2^-53 < 2^-42, as
-    # step E <= 2^10 with E >= 1), of the power and of the products.
+    # are exact while |z'| (1 + step 2^-40) <= 1; above, that factor covers
+    # the rounding of |z'|: r below errs by about (3 step + 1) 2^-53 <=
+    # step 2^-50 (hypot and the two conversions, raised to the power step),
+    # and the rest of the factor covers the (n-1)th power and the products.
     r = ldexp(hypot(zr, zi), -e) ** step
-    n = len(sizes) // step
+    n = len(sizes)
     if step > 1:
         ur, ui = _gaussian_power(zr, zi, step - 1)
         zr, zi, e, ue = ur * zr - ui * zi, ur * zi + ui * zr, step * e, (step - 1) * e
-        sizes = sizes[step - 1::step]
-        ints = ints[step - 1::step] if real else [
-            p for k in range(2 * step - 2, len(ints), 2 * step) for p in ints[k:k + 2]]
     size = 1.0
     for a in sizes:  # at least 2^-0.5 Sum |a_k| |z'|^(n-k)
         size = size * r + a
     g = max(0, _FIXED_GRID_BITS - frexp(size)[1])
     t = g + e - f
     cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
-    s = n * max(1.0, r * (1 + 2.0 ** -40)) ** (n - 1)
+    s = n * max(1.0, r * (1 + step * 2.0 ** -40)) ** (n - 1)
     if real:
         # The second-order recurrence of `_exact_real_pair`.  A B step's
         # floors and coefficient truncation add delta_k, |delta_k| < 2: the

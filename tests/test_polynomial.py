@@ -813,16 +813,16 @@ class TestRealCoefficients:
                                 for c in dense(48, 5, real=True).low_coefficients])
         eval_with_derivative(poly, 0.3)  # n^2 E >= 3 * 2^13: fixed grid
         assert polynomial._last_scaled[3:5] == (
-            True, [abs(c.real) for c in poly.low_coefficients])
+            True, [1, polynomial._last_scaled[2],
+                   [abs(c.real) for c in poly.low_coefficients]])
         eval_with_derivative(dense(48, 5), 0.5j)
         assert polynomial._last_scaled[3] is False
 
 
 # Polynomials in x^g.  Where n and every k with a_k != 0 are multiples of
-# g >= 2, A(x) = P(x^g), and the fixed-grid pass runs on P at z'^g' in
-# n/g' steps, g' the largest divisor of g with g' E <= 2^10 (E: z' is a
-# multiple of 2^-E).  These tests compare it with `_exact_pair` at z', bit
-# for bit, as the two-stage tests do.
+# g >= 2, A(x) = P(x^g), and the fixed-grid pass runs on P at z'^g in n/g
+# steps.  These tests compare it with `_exact_pair` at z', bit for bit, as
+# the two-stage tests do.
 
 def spread(low, g):
     """The low coefficients of P(x^g) for P with the low coefficients ``low``."""
@@ -877,8 +877,8 @@ def near_multiple_lacunary_roots(draw):
 class TestLacunary:
     @settings(max_examples=250, deadline=None)
     @given(poly=lacunary_polys(), z=two_stage_points)
-    # x^96 - 1/2 at |z| ~ 1 (g' = 16), at |z| ~ 1e-100 (g' = 2) and at
-    # subnormal z (g' = 1); a_n = 0; complex coefficients
+    # x^96 - 1/2 at |z| ~ 1, at |z| ~ 1e-100 and at subnormal z; a_n = 0;
+    # complex coefficients
     @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(0.6, 0.8))
     @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(0.6e-100, -0.8e-100))
     @example(poly=MonicPolynomial([0] * 95 + [-0.5]), z=complex(5e-324, -3e-320))
@@ -902,49 +902,46 @@ class TestLacunary:
     @pytest.mark.parametrize("g", [8, 12, 16])
     def test_derivative_bound_carries_the_factor_g_u(self, g):
         # P = (y - 1)^6 (y + 1)^40 + 1: P' has a 5-fold zero at 1 while
-        # P(1) = 1, so near x = 1, A' = g' x^(g'-1) P'(x^g') (here g' = g,
-        # as E = 48) is decided by a few ulps, and a bound on A' that drops
-        # the factor g' |U| puts some of these points on the wrong number.
+        # P(1) = 1, so near x = 1, A' = g x^(g-1) P'(x^g) is decided by a
+        # few ulps, and a bound on A' that drops the factor g |U| puts some
+        # of these points on the wrong number.  Near x = i (g is a multiple
+        # of 4, so x^g is again near 1) U = x^(g-1) is imaginary, and
+        # Im A' = g Im U Re P'(W) must take its bound from Re P'(W).
         low = list(from_roots([(1, 0)] * 6 + [(-1, 0)] * 40).low_coefficients)
         low[-1] += 1
         poly = MonicPolynomial(spread(low, g))
         for j in range(1, 41):
-            for re in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
-                assert_two_stage_exact(poly, complex(re, 0.0))
+            for t in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
+                assert_two_stage_exact(poly, complex(t, 0.0))
+                assert_two_stage_exact(poly, complex(0.0, t))
 
     @pytest.mark.parametrize("real", [False, True])
     def test_ring_polynomial_takes_the_substituted_pass(self, real):
-        # degree 60 in x^12: at these points E <= 85, so 12 E <= 2^10, and
-        # each fixed-grid pass runs five steps at z^12 and decides
+        # degree 60 in x^12: each fixed-grid pass runs five steps at z^12
+        # and decides
         rng = random.Random(60)
         poly = lacunary(60, 12, 12, real=real)
         points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
         reset_memo()
         with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
             got = [outcome(eval_with_derivative, poly, z) for z in points]
-        # no exact pass; args[2] is ``real`` and args[-1] the step g'
+        # no exact pass; args[2] is ``real`` and args[-1] the step g
         assert [(name, args[2], args[-1]) for name, args in passes] == [
             ("_fixed_grid_pair", real, 12)] * 20
-        assert polynomial._last_scaled[5] == [12, 6, 4, 3, 2]
+        assert polynomial._last_scaled[4][0] == 12
         assert got == [outcome(oracle_eval, poly, z) for z in points]
 
-    @pytest.mark.parametrize("z, step", [
-        (complex(0.6, 0.8), 16),  # E = 53: 16 E <= 2^10 < 24 E
-        (complex(0.6e-100, -0.8e-100), 2),  # E = 386: 2 E <= 2^10 < 3 E
-        (complex(5e-324, -3e-320), 1),  # E = 1074 > 2^10
-    ])
-    def test_large_g_e_takes_a_smaller_step(self, z, step):
-        # x^96 - 1/2 has g = 96, and z^96 would have 96 E bits per part: the
-        # pass runs at z^g' for the largest divisor g' of 96 with
-        # g' E <= 2^10
+    @pytest.mark.parametrize("z", [
+        complex(0.6, 0.8), complex(0.6e-100, -0.8e-100), complex(5e-324, -3e-320)])
+    def test_every_point_takes_step_g(self, z):
+        # x^96 - 1/2 has g = 96: at |z| ~ 1, at |z| ~ 1e-100 and at
+        # subnormal z, where z^96 has about 96 E bits per part (E = 53,
+        # 386 and 1074), the pass runs one step at z^96
         poly = MonicPolynomial([0] * 95 + [-0.5])
-        e, _ = polynomial.dyadic_integers((z.real, z.imag))
-        divisors = [d for d in range(1, 97) if 96 % d == 0]
-        assert step == max([1] + [d for d in divisors if d * e <= 2 ** 10]) < 96
         reset_memo()
         with counted_passes("_fixed_grid_pair") as passes:
             got = outcome(eval_with_derivative, poly, z)
-        assert [args[-1] for _, args in passes] == [step]
+        assert [args[-1] for _, args in passes] == [96]
         assert got == exact_pass(poly, z) == outcome(oracle_eval, poly, z)
 
 
