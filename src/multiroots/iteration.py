@@ -288,7 +288,7 @@ def _deflation(values, multiplicities, index):
     # Only pairs that involve ``index`` are checked.
     vec = _checked_index(values, multiplicities, index)
     _check_pairs_of(vec, _collision_limit(vec), index)
-    return _reduce_row(_row(vec, multiplicities, index))
+    return _row_sums(vec, multiplicities, index)
 
 
 def _checked_index(values, multiplicities, index):
@@ -360,7 +360,7 @@ def build_step_workspace(
     vec = _as_vector(values)
     m = len(vec)
     flags = _frozen_flags(frozen, m)
-    return _gek_terms(poly, vec, multiplicities, flags, cfg, [None] * m, [None] * m)
+    return _gek_terms(poly, vec, multiplicities, flags, cfg, [None] * m, None)
 
 
 def _power(base, exponent):
@@ -408,6 +408,21 @@ def _reduce_row(row):
     return qlog, qprod
 
 
+def _row_sums(vec, multiplicities, j):
+    # `_reduce_row` of `_row` j, formed in one loop with no table: the same
+    # operations in the same order, so the same bits; and as the sum and
+    # product raise nothing, the same first error.
+    x_j = vec[j]
+    qlog = complex(0.0)
+    qprod = complex(1.0)
+    for l, (x_l, alpha_l) in enumerate(zip(vec, multiplicities)):
+        if l != j:
+            d = x_j - x_l
+            qlog += alpha_l / d
+            qprod *= d if alpha_l == 1 else _power(d, alpha_l)
+    return qlog, qprod
+
+
 def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     """The deflation kernel of both steps, at ``vec``.
 
@@ -417,14 +432,16 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     prod_{l != j} (x_j - x_l)**alpha_l.
 
     The pairs are first checked for collisions, unless ``moved`` is set:
-    `_serial_sweep` checks those builds itself.  ``rows[j]`` is `_row` j
-    of the table for an active j.  With ``moved`` None every active row is
-    built.  Otherwise the table was filled at a vector that differs from
-    ``vec`` in component ``moved`` alone, and only row ``moved`` and
-    column ``moved`` are refreshed.  Either way each active row is then
-    reduced in full, in order of l, so sums and products are rounded
-    exactly as in a full build.  Unchanged pair terms raised nothing when
-    they were formed, so errors come in the order of a full build too.
+    `_serial_sweep` checks those builds itself.  With ``rows`` None (a
+    total sweep) no table is kept, and each active row is formed and
+    reduced by `_row_sums`.  Otherwise ``rows[j]`` is `_row` j of the
+    table for an active j.  With ``moved`` None every active row is built.
+    Otherwise the table was filled at a vector that differs from ``vec``
+    in component ``moved`` alone, and only row ``moved`` and column
+    ``moved`` are refreshed.  Either way each active row is then reduced
+    in full, in order of l, so sums and products are rounded exactly as in
+    a full build.  Unchanged pair terms raised nothing when they were
+    formed, so errors come in the order of a full build too.
 
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
@@ -438,13 +455,16 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
         pair = evals[j]
         if pair is None:
             pair = evals[j] = eval_with_derivative(poly, vec[j])
-        if moved is None or moved == j:
-            row = rows[j] = _row(vec, multiplicities, j)
+        if rows is None:
+            qlog, qprod = _row_sums(vec, multiplicities, j)
         else:
-            row = rows[j]  # no entry for l == j, so l > j sits at l - 1
-            row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
-                                                  multiplicities[moved])
-        qlog, qprod = _reduce_row(row)
+            if moved is None or moved == j:
+                row = rows[j] = _row(vec, multiplicities, j)
+            else:
+                row = rows[j]  # no entry for l == j, so l > j sits at l - 1
+                row[moved - (moved > j)] = _pair_term(vec[j], vec[moved],
+                                                      multiplicities[moved])
+            qlog, qprod = _reduce_row(row)
         if not (isfinite(qprod.real) and isfinite(qprod.imag)):
             require_finite(qprod, "deflating product")
         kernel[j] = pair, qlog, qprod
@@ -662,7 +682,7 @@ def ek_step(
 
     if cfg.update_mode is UpdateMode.SERIAL:
         return _serial_sweep(vec, flags, prepare, _ek_update)
-    prepared = prepare(vec, [None] * m, [None] * m, None)
+    prepared = prepare(vec, [None] * m, None, None)
     return tuple(vec[i] if flags[i] else _ek_update(vec, prepared, i) for i in range(m))
 
 

@@ -21,7 +21,7 @@ _GRID_BITS = 110
 _FIXED_GRID_BITS = 256
 _FIXED_GRID_WORK = 3 * 2 ** 13
 
-_bits = Struct("<4d").pack
+_bits = Struct("<d").pack
 
 #: (polynomial, F, ints, real, reduced, recent, older) for the polynomial
 #: `eval_with_derivative` saw last.  ``real`` says whether every Im a_k is
@@ -67,7 +67,7 @@ def dyadic_integers(parts) -> tuple[int, list[int]]:
     """The least e >= 0 such that 2^e p is an integer for every float p in
     ``parts``, and those integers."""
     ratios = [p.as_integer_ratio() for p in parts]
-    e = max(d.bit_length() for _, d in ratios) - 1
+    e = max([d for _, d in ratios]).bit_length() - 1  # each d is a power of 2
     return e, [n << (e + 1 - d.bit_length()) for n, d in ratios]
 
 
@@ -131,17 +131,22 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     Sum |a_k| |z'|^(n-k); each step floors its products, coefficient bits
     below the grid are dropped, and a rigorous bound on the error of A and
     of A' is carried (for real coefficients Im A and Im A', Im z' times a
-    real value, keep their own scale, so points near the real axis decide
-    too).  Each part is rounded at both ends of its error interval, and the
-    pair is returned only if every part gives the same binary64 number,
-    sign of zero included: rounding is monotone, so that is the exact
-    pass's number.  Otherwise the exact pass runs: where a part cancels
-    below about 2^-200 of its terms (near a multiple root), is exactly 0
-    (as at an iterate on a root), or lies below the grid altogether (A' at
-    tiny z where a_(n-1) = 0 and g = 1, g as below; every call there pays
-    both passes).  On the seed-1501 benchmark pools that is 99 of the
-    8,538 fixed-grid passes of `wide_total` and 43 of the 742 of
-    `wide_quadratic`.  So every result has the exact pass's bits.
+    real value, keep a finer scale where that gives the smaller bound, so
+    points near the real axis decide too).  Each part is then decided on
+    its own scale.  Where its error interval, widened by one unit at the
+    low end, lies in one 2^-55 slice of a normal binade, no rounding
+    boundary falls inside, and the slice's 55-bit index gives the rounded
+    number without a division; otherwise the part is rounded at both ends
+    of the interval.  The pair is returned only if every part gives one
+    binary64 number, sign of zero included: rounding is monotone, so that
+    is the exact pass's number.  Otherwise the exact pass runs: where a
+    part cancels below about 2^-200 of its terms (near a multiple root), is
+    exactly 0 (as at an iterate on a root), or lies below the grid
+    altogether (A' at tiny z where a_(n-1) = 0 and g = 1, g as below; every
+    call there pays both passes).  On the seed-1501 benchmark pools that is
+    99 of the 8,538 fixed-grid passes of `wide_total` and 43 of the 742 of
+    `wide_quadratic` (``tools/pool_ledger.py``).  So every result has the
+    exact pass's bits.
 
     A polynomial in x^g takes fewer steps.  With g the gcd of n and of
     every k with a_k != 0 (found at the polynomial's first fixed-grid
@@ -151,9 +156,13 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     A'(z') = g U P'(W), each part of which errs by at most
     g (|Re U| b + |Im U| b'), b and b' the bounds of the parts of P'(W) it
     multiplies; the rounding test is the same, and the exact pass still
-    takes n steps at z'.  The parts of W have about g E bits, so a step
-    costs more as g E grows, and where g E is large, as for x^96 - 1/2,
-    the pass can cost more than n steps at z' would (rows below).  At tiny
+    takes n steps at z'.  The parts of W have about g E bits.  For real
+    coefficients, where g E exceeds h, the loop floors 2 Re W and |W|^2 to
+    2^-h once per pass, h being the bits that the loop's values can reach
+    (derived per pass from the grid, n, max(1, |W|) and the |a_k|: 267 to
+    309 on the seed-1501 `wide_total` pool, where g E is 343 to 1404), so a
+    step multiplies h-bit integers whatever g E is; the complex loop
+    multiplies by W's parts.  At tiny
     z it decides where those n steps cannot: A' of a polynomial with
     a_(n-1) = 0 lies below the grid at z', but P'(W) need not lie below
     the grid at W.  The benchmark's ring polynomials, products of
@@ -162,35 +171,35 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     Per call at a new point, in us, as two-stage / exact pass alone at
     |z| ~ 1, |z| ~ 1e-100 and subnormal z (one figure where only the exact
     pass runs); dense rows have random coefficients in the unit square,
-    "in x^g, n" rows random ones at the multiples of g only (median of 7
+    "in x^g, n" rows random ones at the multiples of g only (median of 9
     interleaved runs of 60 points on a shared Xeon, CPython 3.11.7; runs
-    scatter by up to +-30%):
+    scatter by up to +-40%):
 
     ========================  ==========  ============  ===========
     polynomial, coefficients  |z| ~ 1     |z| ~ 1e-100  subnormal z
     ========================  ==========  ============  ===========
-    dense 6, real             8           11            16 / 20
-    dense 6, complex          10          14            15 / 25
-    dense 24, real            24 / 24     24 / 74       27 / 160
-    dense 24, complex         33 / 37     30 / 113      35 / 278
-    dense 48, real            44 / 71     41 / 282      50 / 605
-    dense 48, complex         58 / 95     52 / 397      62 / 1049
-    dense 96, real            82 / 198    71 / 1060     74 / 2187
-    dense 96, complex         108 / 283   100 / 1460    131 / 3920
-    in x^12, 60, real         50 / 134    77 / 561      62 / 656
-    in x^12, 60, complex      25 / 124    37 / 640      32 / 1283
-    in x^2, 96, real          53 / 179    50 / 1054     57 / 2305
-    in x^2, 96, complex       94 / 365    83 / 1698     69 / 3714
-    x^24 - 1/2                33 / 23     75 / 26       229 / 44
-    x^96 - 1/2                170 / 172   202 / 186     252 / 165
+    dense 6, real             11          18            18 / 24
+    dense 6, complex          12          17            20 / 27
+    dense 24, real            30 / 27     21 / 84       31 / 243
+    dense 24, complex         44 / 48     37 / 134      49 / 398
+    dense 48, real            45 / 65     32 / 381      45 / 881
+    dense 48, complex         65 / 108    64 / 557      79 / 1210
+    dense 96, real            79 / 198    55 / 1181     57 / 2465
+    dense 96, complex         124 / 332   130 / 1660    132 / 4530
+    in x^12, 60, real         26 / 86     29 / 406      30 / 798
+    in x^12, 60, complex      30 / 171    32 / 567      33 / 1298
+    in x^2, 96, real          59 / 188    33 / 1046     38 / 2376
+    in x^2, 96, complex       84 / 322    86 / 1790     83 / 4842
+    x^24 - 1/2                37 / 34     55 / 42       60 / 42
+    x^96 - 1/2                147 / 191   181 / 224     241 / 227
     ========================  ==========  ============  ===========
 
-    No row falls back.  The last two run no faster than the exact pass,
-    which for x^n - a makes cheap products: their one step at z'^g works
-    on integers of about g E bits, and A'(z') = g U P'(W) multiplies such
-    integers.  In n steps at z', without the substitution, x^24 - 1/2
-    took 25, 37 and 62 us in the same run, and x^96 - 1/2 81 us at
-    |z| ~ 1.
+    No row falls back.  The x^n - 1/2 rows run about as fast as the exact
+    pass, which makes cheap products for x^n - a; their one step at z'^g
+    and A'(z') = g U P'(W) work on integers of about g E bits.  Before the
+    real loop kept Re P'(W) on 2^-G and floored 2 Re W and |W|^2,
+    x^24 - 1/2 took 112 and 230 us at |z| ~ 1e-100 and at subnormal z in
+    the same runs.
 
     That Horner pass is made once per point: the pairs of the last 2n to
     4n new points are kept for the polynomial evaluated last, so a call at
@@ -253,11 +262,21 @@ def _horner_pair(scaled, x, y):
     # (A(z'), A'(z')) for the polynomial of a `_last_scaled` entry, each part
     # rounded once, from the fixed-grid pass where it is used and its
     # rounding test passes, else from the exact pass; raises OverflowError
-    # when a part is beyond binary64.  See `eval_with_derivative`.
+    # when a part is beyond binary64.  See `eval_with_derivative`.  With z
+    # = (zr + i zi) / 2^e and M = max(|zr|, |zi|), the grid is 2^-(e + 110
+    # - L), L the bit length of M, so a part has bits below it only where
+    # L > 110 (and e > 0); for e = 0 z is an integer, a multiple of the
+    # grid, and rounding it to z' changes nothing.
     poly, f, ints, real, reduced, _, _ = scaled
-    e, (zr, zi) = dyadic_integers((x, y))
-    grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
-    if e > grid:  # a part has bits below the grid: evaluate at z'
+    zr, dr = x.as_integer_ratio()
+    zi, di = y.as_integer_ratio()
+    if dr < di:
+        zr, dr = zr << di.bit_length() - dr.bit_length(), di
+    else:
+        zi <<= dr.bit_length() - di.bit_length()
+    e = dr.bit_length() - 1
+    if max(abs(zr), abs(zi)).bit_length() > _GRID_BITS:  # evaluate at z'
+        grid = max(0, _GRID_BITS - frexp(max(abs(x), abs(y)))[1])
         e, (zr, zi) = dyadic_integers(
             [ldexp(round(ldexp(p, grid)), -grid) for p in (x, y)])
     coeffs = poly.low_coefficients
@@ -329,85 +348,129 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
     # step U at the end.  Until then A, n, z', e and a_k stand for P, its
     # degree, W, step e and P's coefficients; with step 1 they are A's own.
     # Both loops keep their values as integers in units of 2^-g and floor
-    # every product; coefficient bits below 2^-(g+e) are floored too.  With
-    # rho = max(1, |z'|) and s = n rho^(n-1), each carries a bound on the
-    # error of every part of A (bv) and of A' (bd) in those units.  These
-    # are exact while |z'| (1 + step 2^-40) <= 1; above, that factor covers
-    # the rounding of |z'|: r below errs by about (3 step + 1) 2^-53 <=
-    # step 2^-50 (hypot and the two conversions, raised to the power step),
-    # and the rest of the factor covers the (n-1)th power and the products.
+    # every product; coefficient bits below the loop's shift are floored
+    # too.  With rho = max(1, |z'|) and s = n rho^(n-1), each carries a
+    # bound on the error of every part of A (bv) and of A' (bd) in those
+    # units.  These are exact while |z'| (1 + step 2^-40) <= 1; above, that
+    # factor covers the rounding of |z'|: r below errs by about
+    # (3 step + 1) 2^-53 <= step 2^-50 (hypot and the two conversions,
+    # raised to the power step), and the rest of the factor covers the
+    # (n-1)th power and the products.  Each part is then rounded on its own
+    # scale by `_rounded`.
     r = ldexp(hypot(zr, zi), -e) ** step
     n = len(sizes)
     if step > 1:
         ur, ui = _gaussian_power(zr, zi, step - 1)
         zr, zi, e, ue = ur * zr - ui * zi, ur * zi + ui * zr, step * e, (step - 1) * e
-    size = 1.0
-    for a in sizes:  # at least 2^-0.5 Sum |a_k| |z'|^(n-k)
-        size = size * r + a
+    rho = max(1.0, r * (1 + step * 2.0 ** -40))
+    size = top = 1.0
+    for a in sizes:  # size: at least 2^-0.5 Sum |a_k| |z'|^(n-k)
+        size, top = size * r + a, top * rho + a
     g = max(0, _FIXED_GRID_BITS - frexp(size)[1])
-    t = g + e - f
-    cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
-    s = n * max(1.0, r * (1 + step * 2.0 ** -40)) ** (n - 1)
+    s = n * rho ** (n - 1)
     if real:
-        # The second-order recurrence of `_exact_real_pair`.  A B step's
-        # floors and coefficient truncation add delta_k, |delta_k| < 2: the
-        # B values are exactly those of the coefficients a_k + delta_k 2^-g.
-        # A C step's floors add gamma_k, |gamma_k| < 1, to the quotient's
-        # coefficient b_k.  So A errs by Sum delta_k z'^(n-k) plus the last
-        # floor, below 2s + 1 per part, and A' by Sum delta_k (n-k)
-        # z'^(n-k-1) (below (n-1)s) plus 2 i Im z' Sum gamma_k z'^(n-2-k)
-        # (below 2s) plus the last floors (below 2|Im z'| + 1 <= s + 1 for
-        # n >= 2, and 0 for n = 1, where c_(n-3) = 0): below
-        # (n+2)s + 1.  Im A = Im z' b_(n-1) and Im A' = 2 Im z' Re Q are
-        # left unfloored, over 2^-(g+e), so they keep their bits where
-        # |Im z'| is far below the terms (as near a real root), and the
-        # other parts are moved to that scale.  Their second bound follows
-        # the recurrence's response to a unit error m steps back,
-        # K_m = Sum_t z'^t conj(z')^(m-t), |K_m| <= (m+1)|z'|^m:
-        # b_j errs by below Sum_m 2 (m+1) rho^m <= j(j+1) rho^(j-1), so
-        # Im A by below |Im z'| (n-1)s, and Re Q by below
-        # Sum_j (j(j+1) rho^(j-1) + 1) rho^(n-2-j) + 1 <= n^2 s + 1.  Each
-        # takes the smaller bound; at a real z' both are exactly 0.
-        twice_re, norm = 2 * zr, zr * zr + zi * zi
+        # The second-order recurrence of `_exact_real_pair` in units of
+        # 2^-g: b1, b2 hold B_k = 2^g b_k, and c1, c2 C_k = 2^g c_k.  Its
+        # response to a unit error m steps back is
+        # K_m = Sum_t z'^t conj(z')^(m-t), |K_m| <= (m+1) rho^m.  With a_0 = 1
+        # and T = Sum |a_k| rho^(n-k) (``top``, at least rho^n), and with
+        # the step errors below (|delta_k| < 2, |gamma_k| < 2), every |B_k|
+        # and |C_k| is below 2^g (n+1)^3 (2n+5) T, so below 2^(h-1) - 1 (by
+        # induction on the step; h keeps a bit for the rounding of T).
+        # Where e > h, 2 Re z' and |z'|^2 (``twice_re``, ``norm``) are
+        # floored to 2^-h, so that each step multiplies h-bit integers; a
+        # product by one of them then drops less than |B_k| 2^-h < 1/2 unit.
+        # A B step's floors, those drops and the coefficient truncation add
+        # delta_k, |delta_k| < 2: the B values are exactly those of the
+        # coefficients a_k + delta_k 2^-g.  A C step's add gamma_k,
+        # |gamma_k| < 2, to the quotient's coefficient b_k.  So A errs by
+        # Sum delta_k z'^(n-k) plus the last floor, below 2s + 1 per part,
+        # and A' by Sum delta_k (n-k) z'^(n-k-1) (below (n-1)s) plus
+        # 2 i Im z' Sum gamma_k z'^(n-2-k) (below 2 rho 2 (n-1) rho^(n-2)
+        # < 4s) plus the last floors (below 2|Im z'| + 1 <= s + 1 for
+        # n >= 2, and 0 for n = 1, where c_(n-3) = 0): below (n+4)s + 1.
+        # Re A and Re A' are kept on 2^-g.  Im A = Im z' b_(n-1) and
+        # Im A' = 2 Im z' Re Q are formed unfloored, over 2^-(g+e), so they
+        # keep their bits where |Im z'| is far below the terms (as near a
+        # real root).  Their second bound follows K_m: b_j errs by below
+        # Sum_m 2 (m+1) rho^m <= j(j+1) rho^(j-1), so Im A by below
+        # |Im z'| (n-1)s, and Re Q by below
+        # Sum_j (j(j+1) rho^(j-1) + 2) rho^(n-2-j) + 1 <= n^2 s + 1.  Where
+        # that bound is the smaller they stay there; otherwise they are
+        # floored to 2^-g, with the first bound plus 1.  At a real z' both
+        # are exactly 0.
+        h = g + int((n + 1) ** 3 * (2 * n + 5) * top).bit_length() + 2
+        twice_re, norm, j, k = 2 * zr, zr * zr + zi * zi, e, e
+        if e > h:
+            twice_re, norm, j, k = twice_re >> e - h, norm >> 2 * e - h, 0, h
+        t = g + k - f
+        cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
         b1, b2, c1, c2 = 1 << g, 0, 0, 0
         for c in cs:
-            c1, c2 = ((twice_re * c1 - (norm * c2 >> e)) >> e) + b2, c1
-            b1, b2 = (twice_re * b1 - (norm * b2 >> e) + c) >> e, b1
+            c1, c2 = ((twice_re * c1 - (norm * c2 >> j)) >> k) + b2, c1
+            b1, b2 = (twice_re * b1 - (norm * b2 >> j) + c) >> k, b1
         qr, qi = c1 - (zr * c2 >> e), zi * c2 >> e
-        vr, vi = b1 - (zr * b2 >> e) << e, zi * b2
-        dr, di = b2 - (2 * zi * qi >> e) << e, 2 * zi * qr
-        bv, bd = int(2 * s) + 2 << e, int((n + 2) * s) + 2 << e
-        bvi = min(bv, abs(zi) * (int((n - 1) * s) + 1))
-        bdi = min(bd, 2 * abs(zi) * (int(n * n * s) + 2))
-        scale = 1 << g + e
+        vr, dr = b1 - (zr * b2 >> e), b2 - (2 * zi * qi >> e)
+        bv, bd = int(2 * s) + 2, int((n + 4) * s) + 2
+        vi, bvi, kvi = zi * b2, abs(zi) * (int((n - 1) * s) + 1), g + e
+        if bvi >= bv << e:
+            vi, bvi, kvi = vi >> e, bv + 1, g
+        di, bdi, kdi = 2 * zi * qr, 2 * abs(zi) * (int(n * n * s) + 2), g + e
+        if bdi >= bd << e:
+            di, bdi, kdi = di >> e, bd + 1, g
     else:
         # Horner over Gaussian integers: each step's floors add an error
         # below 2 per part (one for the product, one for a truncated
         # coefficient), so below 3 in modulus, and every earlier error grows
         # by |z'| per step: A's error is below 3s and A''s, whose steps add
         # one floor and A's error, below s (2 + 3s).
+        t = g + e - f
+        cs = [c << t for c in ints] if t >= 0 else [c >> -t for c in ints]
         vr, vi, dr, di = 1 << g, 0, 0, 0
         for cr, ci in zip(cs[0::2], cs[1::2]):
             dr, di = ((dr * zr - di * zi) >> e) + vr, ((dr * zi + di * zr) >> e) + vi
             vr, vi = (vr * zr - vi * zi + cr) >> e, (vr * zi + vi * zr + ci) >> e
         bv = bvi = int(3 * s) + 1
         bd = bdi = int(s * (2 + 3 * s)) + 1
-        scale = 1 << g
-    deriv_scale = scale
+        kvi = kdi = g
+    kd = g
     if step > 1:
-        # A'(z') = step U P'(W), formed exactly: each of its parts errs by
-        # at most step (|U_r| b + |U_i| b'), b and b' the bounds of the
-        # parts of P'(W) that it multiplies
-        dr, di = step * (ur * dr - ui * di), step * (ur * di + ui * dr)
-        bd, bdi = (step * (abs(ur) * bd + abs(ui) * bdi),
-                   step * (abs(ur) * bdi + abs(ui) * bd))
-        deriv_scale <<= ue
-    low = ((vr - bv) / scale, (vi - bvi) / scale,
-           (dr - bd) / deriv_scale, (di - bdi) / deriv_scale)
-    if _bits(*low) != _bits((vr + bv) / scale, (vi + bvi) / scale,
-                            (dr + bd) / deriv_scale, (di + bdi) / deriv_scale):
+        # A'(z') = step U P'(W), formed exactly over 2^-(kdi+ue): each of
+        # its parts errs by at most step (|U_r| b + |U_i| b'), b and b' the
+        # bounds of the parts of P'(W) that it multiplies
+        t = kdi - g
+        dr, di = step * ((ur * dr << t) - ui * di), step * (ur * di + (ui * dr << t))
+        bd, bdi = (step * ((abs(ur) * bd << t) + abs(ui) * bdi),
+                   step * (abs(ur) * bdi + (abs(ui) * bd << t)))
+        kd = kdi = kdi + ue
+    parts = [_rounded(vr, bv, g), _rounded(vi, bvi, kvi),
+             _rounded(dr, bd, kd), _rounded(di, bdi, kdi)]
+    if None in parts:
         return None
-    return complex(low[0], low[1]), complex(low[2], low[3])
+    return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+
+
+def _rounded(v, b, k):
+    # The binary64 number nearest to every x in [v - b, v + b] 2^-k, or None
+    # when the two ends round apart; raises OverflowError beyond binary64.
+    # Let 2^(L-1) <= |v| + b < 2^L.  Where that binade is normal and
+    # [|v| - b - 1, |v| + b] lies in one bucket of width 2^(L-55), no
+    # rounding boundary (a midpoint, an odd multiple of 2^(L-54), so a
+    # bucket's start) lies in [|v| - b, |v| + b], and every x there rounds
+    # to the 53-bit number that the bucket's 55-bit index q gives:
+    # (q + 2) >> 2, times 2^(L-53).
+    # The -1 keeps |v| - b off the bucket's start, where a tie would round
+    # to even, and shift - k >= -1076 is 2^(L-1-k) >= 2^-1022.  Otherwise
+    # the two ends are divided out and compared, bit for bit.
+    m = abs(v)
+    top = m + b
+    shift = top.bit_length() - 55
+    if shift >= 0 and shift - k >= -1076 and (m - b - 1) >> shift == top >> shift:
+        x = ldexp((top >> shift) + 2 >> 2, shift + 2 - k)
+        return -x if v < 0 else x
+    scale = 1 << k
+    low = (v - b) / scale
+    return low if _bits(low) == _bits((v + b) / scale) else None
 
 
 def _gaussian_power(xr, xi, k):

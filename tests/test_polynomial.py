@@ -874,6 +874,30 @@ def near_multiple_lacunary_roots(draw):
     return MonicPolynomial(spread(low, g)), complex(*r) + offset
 
 
+@st.composite
+def near_multiple_real_lacunary_roots(draw):
+    """P(x^g) with real coefficients, g from 6 to 12 (so z'^g has more bits
+    below the point than the loop keeps, and 2 Re W and |W|^2 are floored),
+    where P has a root of multiplicity 3 to 5 at r^g for r in {1, -1, i,
+    1 + i, ...}, with its conjugate when r^g is not real, so A has one at
+    r; and a point within 2^-40 of r, moved by 2^-41 or less along the
+    real axis, by 2^-41 to 2^-100 along the imaginary axis, or both."""
+    g = draw(st.integers(6, 12))
+    r = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1)]))
+    root = gaussian_power(r, g)
+    alpha = draw(st.integers(3, min(5, 96 // g // (2 if root[1] else 1))))
+    roots = [root] * alpha + ([(root[0], -root[1])] * alpha if root[1] else [])
+    for x, y in draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                              max_size=(96 // g - len(roots)) // 2)):
+        roots += [(x, y), (x, -y)] if y else [(x, 0)]
+    nonzero = st.builds(math.copysign, st.floats(0.5, 1.0), st.sampled_from([1.0, -1.0]))
+    re = ldexp(draw(nonzero), -41)
+    im = ldexp(draw(nonzero), -draw(st.integers(41, 100)))
+    offset = draw(st.sampled_from([complex(re, 0.0), complex(re, im), complex(0.0, im)]))
+    low = [c.real for c in from_roots(roots).low_coefficients]
+    return MonicPolynomial(spread(low, g)), complex(*r) + offset
+
+
 class TestLacunary:
     @settings(max_examples=250, deadline=None)
     @given(poly=lacunary_polys(), z=two_stage_points)
@@ -898,6 +922,22 @@ class TestLacunary:
                                           4)), complex(1 + 2.0 ** -41, 1 - 2.0 ** -42)))
     def test_near_a_multiple_root(self, case):
         assert_two_stage_exact(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=near_multiple_real_lacunary_roots())
+    # on a 4-fold root at 1 in x^8, and just off a triple root at 1 + i
+    # in x^6 (P has triple roots at -8i and 8i)
+    @example(case=(MonicPolynomial(spread([c.real for c in from_roots(
+        [(1, 0)] * 4 + [(-2, 0)]).low_coefficients], 8)), 1 + 0j))
+    @example(case=(MonicPolynomial(spread([c.real for c in from_roots(
+        [(0, -8)] * 3 + [(0, 8)] * 3).low_coefficients], 6)),
+        complex(1 - 2.0 ** -41, 1 + 2.0 ** -43)))
+    def test_near_a_multiple_root_of_a_real_polynomial(self, case):
+        # Near a multiple root A and A' are far below their terms, so an
+        # error in the floored recurrence beyond its bound shows in the
+        # bits; the fixed-grid pass is tried at every point, in its real loop.
+        assert_two_stage_exact(*case)
+        assert polynomial._last_scaled[3]
 
     @pytest.mark.parametrize("g", [8, 12, 16])
     def test_derivative_bound_carries_the_factor_g_u(self, g):
@@ -943,6 +983,82 @@ class TestLacunary:
             got = outcome(eval_with_derivative, poly, z)
         assert [args[-1] for _, args in passes] == [96]
         assert got == exact_pass(poly, z) == outcome(oracle_eval, poly, z)
+
+
+# The fixed-grid pass decides each part on integers where it can and by two
+# int true divisions otherwise.  These tests compare `_rounded` with the two
+# divisions alone, bit for bit, exceptions included.
+
+def divided(v, b, k):
+    """The binary64 number of (v - b) / 2^k if (v + b) / 2^k has its bits,
+    else None, by int true division (CPython rounds it correctly)."""
+    scale = 1 << k
+    low, high = (v - b) / scale, (v + b) / scale
+    return low if struct.pack("<d", low) == struct.pack("<d", high) else None
+
+
+def decision(rounding, v, b, k):
+    try:
+        x = rounding(v, b, k)
+    except OverflowError:
+        return "overflow"
+    return None if x is None else struct.pack("<d", x)
+
+
+def decision_cases(rng, count):
+    """(v, b, k) with |v| up to 1,200 bits of either sign, b from 0 to
+    about |v|, and v / 2^k from the subnormal range to beyond binary64;
+    a quarter put |v| - b on a bucket's start (a tie where b = 0)."""
+    for _ in range(count):
+        top = rng.choice([rng.randint(-1110, -1015), rng.randint(-1015, 1015),
+                          rng.randint(1015, 1030)])  # about log2 |v / 2^k|
+        bits = rng.randint(max(1, top), 1200)
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        b = rng.choice([0, rng.randint(0, 64), rng.getrandbits(rng.randint(1, bits))])
+        if rng.random() < 0.25 and bits > 56:
+            b = min(b, rng.getrandbits(bits - 56))
+            shift = (m + b).bit_length() - 55
+            m = ((m + b) >> shift << shift) + b - rng.randint(0, 1)
+        k = bits - top
+        yield (m if rng.random() < 0.5 else -m), b, k
+
+
+def tie(q, shift, b=0):
+    """|v| - b at the start of bucket q, q = 2 mod 4 being a midpoint."""
+    return (q << shift) + b, b
+
+
+class TestRoundingDecision:
+    def test_random_cases_match_two_divisions(self):
+        rng = random.Random(21)
+        outcomes = Counter()
+        for v, b, k in decision_cases(rng, 20000):
+            got = decision(polynomial._rounded, v, b, k)
+            assert got == decision(divided, v, b, k), (v, b, k)
+            outcomes["none" if got is None else "overflow" if got == "overflow" else "x"] += 1
+        assert min(outcomes.values()) > 300, outcomes
+
+    @pytest.mark.parametrize("v, b, k", [
+        # exact midpoints (b = 0): ties to even, both ways, either sign
+        (*tie(2 ** 54 + 2, 10), 0), (*tie(2 ** 54 + 6, 10), 0),
+        (-tie(2 ** 54 + 2, 300)[0], 0, 200), (-tie(2 ** 54 + 6, 300)[0], 0, 200),
+        # an interval starting at a midpoint, and one ending just below it
+        (*tie(2 ** 54 + 2, 40, b=5), 30), (*tie(2 ** 54 + 6, 40, b=5), 30),
+        (tie(2 ** 54 + 6, 40)[0] - 6, 5, 30),
+        # b = 0 off a midpoint; exactly 0; an interval around 0
+        (3 << 100, 0, 100), (0, 0, 7), (0, 3, 7), (-1, 3, 7),
+        # the smallest normal binade, the largest subnormals, and values
+        # whose 53-bit rounding would land on a subnormal tie
+        (2 ** 60 + 1, 0, 1082), (2 ** 60 + 1, 0, 1083), ((2 ** 53 - 1) << 7, 2, 1081),
+        (2 ** 60 + 1, 0, 1135), (3 * 2 ** 60 + 1, 0, 1135), (-(2 ** 60 + 1), 0, 1135),
+        # the largest binary64 number, a midpoint that ties up to 2^1024,
+        # and values at and beyond 2^1024
+        ((2 ** 53 - 1) << 971, 0, 0), ((2 ** 53 - 1) << 971, 2 ** 900, 0),
+        ((2 ** 54 - 1) << 970, 0, 0), (((2 ** 54 - 1) << 970) + 1, 0, 0),
+        (-(((2 ** 54 - 1) << 970) + 1), 0, 0), (2 ** 1024, 0, 0), (2 ** 1100, 1, 70),
+    ])
+    def test_edges_match_two_divisions(self, v, b, k):
+        assert decision(polynomial._rounded, v, b, k) == decision(divided, v, b, k)
 
 
 def _is_normal_or_zero(x):

@@ -56,9 +56,9 @@ def report_bytes(report) -> bytes:
     return b"".join(parts)
 
 
-def pool_digest(workload: str, seed: int, count: int) -> str:
-    """The SHA-256 hex digest of every solve of the pool, in order."""
-    digest = hashlib.sha256()
+def solve_pool(workload: str, seed: int, count: int):
+    """Yield (problem, report) for each problem of the pool, in order,
+    solved as ``bench/worker.py`` solves it."""
     for p in GENERATORS[workload](random.Random(seed), count):
         if p.coefficients is None:
             poly = rootsystem.poly_from_roots(
@@ -67,8 +67,14 @@ def pool_digest(workload: str, seed: int, count: int) -> str:
             poly = polynomial.MonicPolynomial(p.coefficients)
         config = iteration.SolveConfig(update_mode=iteration.UpdateMode(p.mode),
                                        **p.config)
-        report = iteration.solve(poly, p.multiplicities, p.initial, config,
+        yield p, iteration.solve(poly, p.multiplicities, p.initial, config,
                                  use_simple_step=p.simple_step)
+
+
+def pool_digest(workload: str, seed: int, count: int) -> str:
+    """The SHA-256 hex digest of every solve of the pool, in order."""
+    digest = hashlib.sha256()
+    for _, report in solve_pool(workload, seed, count):
         digest.update(report_bytes(report))
     return digest.hexdigest()
 
