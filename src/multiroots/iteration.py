@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import chain
 from math import isfinite
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from ._record import Record, set_field
@@ -36,6 +38,8 @@ DEFAULT_RESIDUAL_TOLERANCE = 1e-12
 #: A correction denominator with magnitude at or below
 #: ``1e-300 * max(1, alpha_i)`` is reported as singular.
 SINGULAR_DENOMINATOR_FLOOR = 1e-300
+
+_REAL = attrgetter("real")
 
 
 class UpdateMode(enum.Enum):
@@ -71,7 +75,13 @@ class UpdateMode(enum.Enum):
     Complex ``**`` with an exponent up to 100 has the bits of
     `integer_power` (CPython runs the same binary powering), and beyond
     100 the kernel calls `integer_power` itself.  A TOTAL_STEP sweep makes
-    one build, which checks all ``m(m - 1)/2`` pairs.  A SERIAL sweep
+    one build, which keeps no table: each active row is formed and reduced
+    in one loop with its powers inline.  Its collision check sorts the
+    ``m`` points by real part and measures only the pairs whose real parts
+    lie within twice the limit of each other (about ``m`` pairs where the
+    points are spread out); only if one of those is within the limit does
+    it scan all ``m(m - 1)/2`` pairs, in the order that names the first
+    colliding pair.  A SERIAL sweep
     builds before each update but keeps the table of pair terms, so after
     a component moves only the ``(m - 1) + (a - 1)`` pairs of its row and
     column are formed again, and only its ``m - 1`` pairs are checked for
@@ -220,6 +230,26 @@ def _as_vector(values: Sequence[complex]) -> tuple[complex, ...]:
 
 
 def _check_collisions(values, frozen, limit):
+    # `_scan_collisions`, behind a screen that tests only the pairs whose
+    # real parts lie within 2 * limit of each other, in order of real part.
+    # The screen is sound: a pair the scan flags has |Re d| <= |d| and
+    # abs(d) <= limit, and abs errs by under an ulp, so its real parts are
+    # less than 2 * limit apart.  Any hit runs the full scan, the only path
+    # that raises, so an error names the scan's first pair; a hit on a pair
+    # of frozen indices passes through it.
+    points = sorted(values, key=_REAL)
+    reach = 2 * limit
+    for i in range(1, len(points)):
+        z = points[i]
+        k = i - 1
+        while k >= 0 and z.real - points[k].real <= reach:
+            if abs(z - points[k]) <= limit:
+                _scan_collisions(values, frozen, limit)
+                return
+            k -= 1
+
+
+def _scan_collisions(values, frozen, limit):
     # Pairs of frozen indices are inert; everything else feeds a 1/(xi-xj).
     m = len(values)
     for i in range(m):
@@ -369,7 +399,10 @@ def _power(base, exponent):
     # powering (c_powu: the same products, in the same order, from 1 + 0j)
     # and raises OverflowError where a part is infinite.  Larger exponents,
     # and powers that are not finite, go to `integer_power`, which raises
-    # its own NonFiniteError there.
+    # its own NonFiniteError there.  Used by the serial table (`_pair_term`,
+    # so `_row`, which is also `_row_sums`' reference path) and by the
+    # correction-sum numerators of `_gek_terms`; `_row_sums` forms the
+    # same powers inline.
     if exponent <= 100:
         try:
             power = base ** exponent
@@ -410,17 +443,29 @@ def _reduce_row(row):
 
 def _row_sums(vec, multiplicities, j):
     # `_reduce_row` of `_row` j, formed in one loop with no table: the same
-    # operations in the same order, so the same bits; and as the sum and
-    # product raise nothing, the same first error.
+    # sums and products in the same order, each power formed inline as
+    # `_power` forms it where it is finite, so the same bits.  A power that
+    # is not finite raises here (OverflowError, or integer_power's
+    # NonFiniteError) or leaves qprod non-finite, since a complex product
+    # with a non-finite factor stays non-finite.  Either way, as on any
+    # other arithmetic error, the row is formed again on that reference
+    # path, which raises the same first error.
     x_j = vec[j]
     qlog = complex(0.0)
     qprod = complex(1.0)
-    for l, (x_l, alpha_l) in enumerate(zip(vec, multiplicities)):
-        if l != j:
-            d = x_j - x_l
-            qlog += alpha_l / d
-            qprod *= d if alpha_l == 1 else _power(d, alpha_l)
-    return qlog, qprod
+    try:
+        for l in chain(range(j), range(j + 1, len(vec))):
+            d = x_j - vec[l]
+            alpha = multiplicities[l]
+            qlog += alpha / d
+            qprod *= (d if alpha == 1 else d ** alpha if alpha <= 100
+                      else integer_power(d, alpha))
+    except (ArithmeticError, NonFiniteError):
+        pass
+    else:
+        if isfinite(qprod.real) and isfinite(qprod.imag):
+            return qlog, qprod
+    return _reduce_row(_row(vec, multiplicities, j))
 
 
 def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
@@ -431,11 +476,13 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     sum_{l != j} alpha_l / (x_j - x_l) and the deflating product
     prod_{l != j} (x_j - x_l)**alpha_l.
 
-    The pairs are first checked for collisions, unless ``moved`` is set:
+    The pairs are first checked for collisions (`_check_collisions`, a
+    screen in front of the full scan), unless ``moved`` is set:
     `_serial_sweep` checks those builds itself.  With ``rows`` None (a
     total sweep) no table is kept, and each active row is formed and
-    reduced by `_row_sums`.  Otherwise ``rows[j]`` is `_row` j of the
-    table for an active j.  With ``moved`` None every active row is built.
+    reduced by `_row_sums`, with its powers inline and no call per pair.
+    Otherwise ``rows[j]`` is `_row` j of the table for an active j.  With
+    ``moved`` None every active row is built.
     Otherwise the table was filled at a vector that differs from ``vec``
     in component ``moved`` alone, and only row ``moved`` and column
     ``moved`` are refreshed.  Either way each active row is then reduced

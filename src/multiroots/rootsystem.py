@@ -68,7 +68,7 @@ class RootSystem(Record):
 def _collision_limit(values) -> float:
     """``DISTINCTNESS_THRESHOLD * max(1, max|x_i|)``: two of ``values`` at
     most this far apart collide."""
-    return DISTINCTNESS_THRESHOLD * max(1.0, max(abs(v) for v in values))
+    return DISTINCTNESS_THRESHOLD * max(1.0, max(map(abs, values)))
 
 
 def _as_multiplicity(a) -> int:

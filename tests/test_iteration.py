@@ -220,6 +220,92 @@ class TestDeflationHelpersKeepTheirBits:
                 call()
 
 
+def _row_outcome(reduce, vec, mults, j):
+    try:
+        qlog, qprod = reduce(vec, mults, j)
+    except MultirootsError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", bits(qlog), bits(qprod)
+
+
+def _reference_row_sums(vec, mults, j):
+    return iteration._reduce_row(iteration._row(vec, mults, j))
+
+
+class TestRowSums:
+    # `_row_sums` forms each power inline and re-runs a row on the reference
+    # path (`_row`, `_reduce_row`) only where a power is not finite; either
+    # way it has the reference's bits and first error.
+
+    def outcomes(self, monkeypatch, vec, mults):
+        vec = tuple(complex(v) for v in vec)
+        reruns = []
+        counted = iteration._row
+
+        def counting(*args):
+            reruns.append(args[2])
+            return counted(*args)
+
+        monkeypatch.setattr(iteration, "_row", counting)
+        got = [_row_outcome(iteration._row_sums, vec, mults, j) for j in range(len(vec))]
+        reruns_of_fast_path = list(reruns)
+        want = [_row_outcome(_reference_row_sums, vec, mults, j) for j in range(len(vec))]
+        assert got == want
+        return got, reruns_of_fast_path
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finite_rows_match_the_reference_without_a_rerun(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        m = 9
+        vec = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m) * (seed % 2)
+        # multiplicities above 100 go to integer_power, the others to **
+        mults = tuple(int(a) for a in rng.choice([1, 2, 3, 7, 100, 101, 150], m))
+        vec = 1 + 0.01 * vec  # |d| < 0.06, so every power above 100 stays finite
+        got, reruns = self.outcomes(monkeypatch, vec, mults)
+        assert all(outcome[0] == "ok" for outcome in got)
+        assert reruns == []
+
+    def test_overflowing_power(self, monkeypatch):
+        # (0 - 1e8)**40 raises OverflowError in **; integer_power names it
+        got, reruns = self.outcomes(monkeypatch, (0.0, 1e8), (1, 40))
+        assert got[0][0] == "NonFiniteError"
+        assert got[0][1].startswith("integer_power")
+        assert reruns == [0]
+
+    def test_power_beyond_100_that_overflows(self, monkeypatch):
+        got, reruns = self.outcomes(monkeypatch, (0.0, 10.0), (1, 400))
+        assert got[0][0] == "NonFiniteError"
+        assert got[0][1].startswith("integer_power")
+        assert reruns == [0]
+
+    def test_power_that_is_nan_without_overflow_error(self, monkeypatch):
+        # (1e300 + 1e300j)**3 is nan + nanj and ** raises nothing; the
+        # product carries the nan to the end of the row, where the row is
+        # re-run and integer_power raises
+        d = complex(1e300, 1e300)
+        assert not math.isfinite((d ** 3).real)
+        got, reruns = self.outcomes(monkeypatch, (0.0, d), (2, 3))
+        assert got[0][0] == "NonFiniteError"
+        assert got[0][1] == f"integer_power overflowed: base={-d!r}"
+        assert reruns == [0, 1]
+
+    def test_first_error_is_the_reference_first(self, monkeypatch):
+        # pair (0, 1) is nan without an error, pair (0, 2) raises in
+        # integer_power: the reference raises at pair (0, 1) first
+        vec = (0.0, complex(1e300, 1e300), 1e10)
+        got, _ = self.outcomes(monkeypatch, vec, (1, 3, 101))
+        assert got[0] == ("NonFiniteError",
+                          f"integer_power overflowed: base={-complex(1e300, 1e300)!r}")
+
+    def test_product_overflow_with_finite_powers(self, monkeypatch):
+        # every factor is finite but the product is not: the rerun gives
+        # the same non-finite product, and `_deflate` raises on it
+        got, reruns = self.outcomes(monkeypatch, (0.0, 1e200, -1e200), (1, 1, 1))
+        assert got[0][0] == "ok" and not _finite(
+            complex(*struct.unpack("<dd", got[0][2])))
+        assert reruns == [0, 1, 2]
+
+
 def _finite(z):
     return math.isfinite(z.real) and math.isfinite(z.imag)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from multiroots import (
+    CollisionError,
     MonicPolynomial,
     NonFiniteError,
     RootSystem,
@@ -17,7 +18,12 @@ from multiroots import (
     q_log_derivative,
     separation,
 )
-from multiroots.iteration import _power, q_product
+from multiroots.iteration import (
+    _check_collisions,
+    _power,
+    _scan_collisions,
+    q_product,
+)
 from multiroots.polynomial import integer_power
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0,
@@ -234,3 +240,77 @@ def test_deflation_helpers_empty_cases_and_consistency(rs):
             )
             assert q_log_derivative(approx, rs.multiplicities, i) == \
                 pytest.approx(explicit, rel=1e-12)
+
+
+def _collision_outcome(check, values, frozen, limit):
+    try:
+        check(values, frozen, limit)
+    except CollisionError as exc:
+        return "CollisionError", str(exc)
+    return "ok", None
+
+
+#: Offsets from a point, in units of the limit, that put a second point on
+#: either side of it: at limit * (1 +- 2^-52) along an axis, at a real gap in
+#: (limit, 2 * limit] with an imaginary one too small to matter, straight
+#: above it (equal real parts, as for conjugates), and at other angles.
+_PLANTED = (
+    complex(1 - 2 ** -52, 0), complex(1 + 2 ** -52, 0), complex(1.0, 0.0),
+    complex(-1 + 2 ** -52, 0), complex(0, 1 - 2 ** -52), complex(0, -1 - 2 ** -52),
+    complex(1.5, 0.0), complex(2.0, 0.0), complex(1 + 2 ** -40, 1e-9),
+    complex(0, 0.5), complex(0, 3.0), 0j,
+    complex(0.6, 0.8), complex(0.6, 0.8 + 2 ** -50), complex(-0.7071, 0.7071),
+)
+
+
+@st.composite
+def collision_cases(draw):
+    """A vector, frozen flags and a limit, scaled by 2^k, with points planted
+    near the limit from others; some with a third point between two
+    colliding ones in real part but far off in imaginary part."""
+    k = draw(st.integers(-40, 40))
+    limit = math.ldexp(draw(st.floats(0.5, 1.0)), k)
+    spread = draw(st.sampled_from((2.0, 8.0, 64.0)))
+    coordinate = st.floats(-spread, spread)
+    points = [limit * complex(draw(coordinate), draw(coordinate))
+              for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(0, 4))):
+        base = points[draw(st.integers(0, len(points) - 1))]
+        offset = draw(st.sampled_from(_PLANTED))
+        if draw(st.booleans()):
+            offset = -offset.conjugate()
+        points.append(base + limit * offset)
+    if draw(st.booleans()):
+        # A and C collide; B lies between them in real part, far off in
+        # imaginary part, so the screen must look past a neighbour
+        a = points[draw(st.integers(0, len(points) - 1))]
+        points += [a + limit * complex(0.4, 50.0), a + limit * complex(0.8, 0.5)]
+    order = draw(st.permutations(range(len(points))))
+    values = tuple(points[i] for i in order)
+    frozen = tuple(draw(st.lists(st.booleans(), min_size=len(values),
+                                 max_size=len(values))))
+    return values, frozen, limit
+
+
+@given(collision_cases())
+@settings(max_examples=400, deadline=None)
+@example(((0j, complex(0.4, 50.0), complex(0.8, 0.5)), (False,) * 3, 1.0))
+@example(((0j, complex(1.0, 0.0), complex(0.0, 1.0)), (True, True, False), 1.0))
+@example(((0j, complex(1 + 2 ** -52, 0.0), complex(1.0, 1e300)), (False,) * 3, 1.0))
+def test_screened_collision_check_is_the_full_scan(case):
+    values, frozen, limit = case
+    assert (_collision_outcome(_check_collisions, values, frozen, limit)
+            == _collision_outcome(_scan_collisions, values, frozen, limit))
+
+
+def test_collision_screen_looks_past_a_neighbour_in_real_part():
+    # A and C are 0.94 * limit apart; B sits between them in real part but
+    # 50 limits above.  Sorted by real part the order is A, B, C, so a
+    # screen that tested only neighbours would miss (A, C).
+    values = (complex(0.8, 0.5), 0j, complex(0.4, 50.0))
+    got = _collision_outcome(_check_collisions, values, (False,) * 3, 1.0)
+    assert got == ("CollisionError", "approximations 0 and 1 are within 1.000e+00 "
+                   "of each other: (0.8+0.5j) ~ 0j")
+    # a hit on a pair of frozen indices passes through the full scan
+    assert _collision_outcome(_check_collisions, values, (True, True, False), 1.0) == \
+        ("ok", None)

@@ -1,5 +1,5 @@
 """Print whole-pool counts for a benchmark workload: statuses, sweeps,
-evaluation calls and Horner passes by path.
+evaluation calls, Horner passes by path and the deflation kernel's checks.
 
     python3 tools/pool_ledger.py --workload wide_total --seed 1501
     python3 tools/pool_ledger.py --workload wide_quadratic --seed 1501 --count 7
@@ -18,8 +18,18 @@ wrapped where ``multiroots`` looks them up:
 - exact passes, complex and real (a fixed-grid fall-back runs one too);
 - fixed-grid passes that decided, and those that fell back to the exact
   pass (an interval that does not round to one number, or an overflow);
+- the fall-backs by cause: those where the exact pass's pair has a part
+  that is exactly 0, and the others (an exact pass that overflows among
+  them);
 - passes where z' != z (a part of z rounded to the grid 2^min(0, e-110));
-- fixed-grid passes by g, the power with A(x) = P(x^g).
+- fixed-grid passes by g, the power with A(x) = P(x^g);
+- collision scans (``iteration._check_collisions``) and, of those, the
+  ones whose screen found a pair within the limit and ran the full scan;
+- deflation rows formed in one loop (``iteration._row_sums``: each active
+  row of a total sweep, and the rows of `q_log_derivative` and
+  `q_product`) and, of those, the rows formed again on the reference path
+  (``_row``, then ``_reduce_row``) after a power or a product that is
+  not finite.
 
 Standard library only; run from anywhere, with the library importable
 (``PYTHONPATH=src``).
@@ -51,16 +61,48 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     steps = collections.Counter()
     saved = {name: getattr(polynomial, name) for name in
              ("_horner_pair", "_exact_pair", "_exact_real_pair", "_fixed_grid_pair")}
-    evaluate = iteration.eval_with_derivative
+    kernel = {name: getattr(iteration, name) for name in
+              ("eval_with_derivative", "_check_collisions", "_scan_collisions",
+               "_row_sums", "_row")}
+    in_row_sums = [False]
 
     def counted_eval(poly, z):
         counts["eval"] += 1
-        return evaluate(poly, z)
+        return kernel["eval_with_derivative"](poly, z)
 
     def counted_horner(scaled, x, y):
         counts["horner"] += 1
         counts["moved"] += _moved(x, y)
-        return saved["_horner_pair"](scaled, x, y)
+        fell_back = counts["fell_back"]
+        pair = None
+        try:
+            pair = saved["_horner_pair"](scaled, x, y)
+        finally:
+            if counts["fell_back"] > fell_back:
+                zero = pair is not None and 0.0 in (pair[0].real, pair[0].imag,
+                                                    pair[1].real, pair[1].imag)
+                counts["fell_back_zero" if zero else "fell_back_other"] += 1
+        return pair
+
+    def counted_check(*args):
+        counts["checks"] += 1
+        return kernel["_check_collisions"](*args)
+
+    def counted_scan(*args):
+        counts["scans"] += 1
+        return kernel["_scan_collisions"](*args)
+
+    def counted_row_sums(*args):
+        counts["rows"] += 1
+        in_row_sums[0] = True
+        try:
+            return kernel["_row_sums"](*args)
+        finally:
+            in_row_sums[0] = False
+
+    def counted_row(*args):
+        counts["reference_rows"] += in_row_sums[0]
+        return kernel["_row"](*args)
 
     def counted_exact(name):
         def counted(*args):
@@ -81,6 +123,10 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     statuses = collections.Counter()
     accurate = sweeps = solves = 0
     iteration.eval_with_derivative = counted_eval
+    iteration._check_collisions = counted_check
+    iteration._scan_collisions = counted_scan
+    iteration._row_sums = counted_row_sums
+    iteration._row = counted_row
     polynomial._horner_pair = counted_horner
     polynomial._exact_pair = counted_exact("_exact_pair")
     polynomial._exact_real_pair = counted_exact("_exact_real_pair")
@@ -92,7 +138,8 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
             accurate += problem.accurate(report.final)
             sweeps += report.iterations_used
     finally:
-        iteration.eval_with_derivative = evaluate
+        for name, function in kernel.items():
+            setattr(iteration, name, function)
         for name, function in saved.items():
             setattr(polynomial, name, function)
     return [
@@ -107,9 +154,15 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
         f"exact real passes: {counts['_exact_real_pair']}",
         f"fixed-grid passes decided: {counts['decided']}",
         f"fixed-grid passes fell back: {counts['fell_back']}",
+        f"fixed-grid fall-backs with an exactly zero part: {counts['fell_back_zero']} "
+        f"(other fall-backs: {counts['fell_back_other']})",
         f"passes with z' != z: {counts['moved']}",
         "fixed-grid passes by g: "
         + (", ".join(f"{g}: {v}" for g, v in sorted(steps.items())) or "none"),
+        f"collision scans: {counts['checks']} "
+        f"(full scans after the screen: {counts['scans']})",
+        f"deflation rows: {counts['rows']} "
+        f"(rows re-run on the reference path: {counts['reference_rows']})",
     ]
 
 
