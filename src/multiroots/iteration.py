@@ -13,7 +13,6 @@ import enum
 import math
 from itertools import chain
 from math import isfinite
-from operator import attrgetter
 from typing import Optional, Sequence
 
 from ._record import Record, set_field
@@ -29,7 +28,7 @@ from .polynomial import (
     integer_power,
     require_finite,
 )
-from .rootsystem import _as_multiplicity, _collision_limit
+from .rootsystem import _as_multiplicity, _collision_limit, _first_collision
 
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_STEP_TOLERANCE = 1e-14
@@ -38,8 +37,6 @@ DEFAULT_RESIDUAL_TOLERANCE = 1e-12
 #: A correction denominator with magnitude at or below
 #: ``1e-300 * max(1, alpha_i)`` is reported as singular.
 SINGULAR_DENOMINATOR_FLOOR = 1e-300
-
-_REAL = attrgetter("real")
 
 
 class UpdateMode(enum.Enum):
@@ -64,35 +61,10 @@ class UpdateMode(enum.Enum):
     pair `eval_with_derivative` kept for it, at the cost of one dictionary
     probe; so a solve makes one Horner pass per distinct point.
 
-    Both step kinds run on one deflation kernel (the simple-root step is
-    the generalized one's with every multiplicity 1), and one loop drives
-    the SERIAL sweeps of both.  A build of the kernel checks the pairs
-    for collisions, forms the pair terms alpha_l / (x_j - x_l) and
-    (x_j - x_l)**alpha_l of ``a(m - 1)`` ordered pairs (one complex ``**``
-    where alpha_l > 1, none for a simple root) and reduces each active row
-    to its deflation sum and product.  The generalized step's build also
-    forms one ``**`` numerator per active index once two are active.
-    Complex ``**`` with an exponent up to 100 has the bits of
-    `integer_power` (CPython runs the same binary powering), and beyond
-    100 the kernel calls `integer_power` itself.  A TOTAL_STEP sweep makes
-    one build, which keeps no table: each active row is formed and reduced
-    in one loop with its powers inline.  Its collision check sorts the
-    ``m`` points by real part and measures only the pairs whose real parts
-    lie within twice the limit of each other (about ``m`` pairs where the
-    points are spread out); only if one of those is within the limit does
-    it scan all ``m(m - 1)/2`` pairs, in the order that names the first
-    colliding pair.  A SERIAL sweep
-    builds before each update but keeps the table of pair terms, so after
-    a component moves only the ``(m - 1) + (a - 1)`` pairs of its row and
-    column are formed again, and only its ``m - 1`` pairs are checked for
-    collisions (all pairs only where the move raised max(1, max|x_i|), and
-    with it the collision limit, above the previous build's): O(m) work
-    per moved component instead of O(a m).  Every row is still reduced in
-    full, in the order of a full build, so results and errors are bitwise
-    those of building from scratch before each update.  Each update forms
-    its own index's neighbour sum (the generalized step's correction sum),
-    one complex division per other active index: ``a`` sums per sweep in
-    either mode.
+    A TOTAL_STEP sweep makes one build of the deflation kernel, which
+    checks the pairs for collisions and forms the deflation sum and product
+    of every active row; a SERIAL sweep builds before each update, but
+    forms again only the row and column of the component that moved.
     """
 
     TOTAL_STEP = "total"
@@ -229,53 +201,17 @@ def _as_vector(values: Sequence[complex]) -> tuple[complex, ...]:
     return vec
 
 
-def _check_collisions(values, frozen, limit):
-    # `_scan_collisions`, behind a screen that tests only the pairs whose
-    # real parts lie within 2 * limit of each other, in order of real part.
-    # The screen is sound: a pair the scan flags has |Re d| <= |d| and
-    # abs(d) <= limit, and abs errs by under an ulp, so its real parts are
-    # less than 2 * limit apart.  Any hit runs the full scan, the only path
-    # that raises, so an error names the scan's first pair; a hit on a pair
-    # of frozen indices passes through it.
-    points = sorted(values, key=_REAL)
-    reach = 2 * limit
-    for i in range(1, len(points)):
-        z = points[i]
-        k = i - 1
-        while k >= 0 and z.real - points[k].real <= reach:
-            if abs(z - points[k]) <= limit:
-                _scan_collisions(values, frozen, limit)
-                return
-            k -= 1
-
-
-def _scan_collisions(values, frozen, limit):
-    # Pairs of frozen indices are inert; everything else feeds a 1/(xi-xj).
-    m = len(values)
-    for i in range(m):
-        for j in range(i):
-            if frozen[i] and frozen[j]:
-                continue
-            if abs(values[i] - values[j]) <= limit:
-                _raise_collision(values, j, i, limit)
-
-
-def _check_pairs_of(values, limit, k):
-    # `_check_collisions` on the pairs that involve index k alone, for an
-    # active k (none of its pairs is inert), in the order of the full scan:
-    # (j, k) for j < k, then (k, j) for j > k.  So where every other pair
-    # passes, both raise the same error.
-    x_k = values[k]
-    for j, x_j in enumerate(values):
-        if j != k and abs(x_j - x_k) <= limit:
-            _raise_collision(values, min(j, k), max(j, k), limit)
-
-
-def _raise_collision(values, j, i, limit):
-    raise CollisionError(
-        f"approximations {j} and {i} are within {limit:.3e} "
-        f"of each other: {values[j]!r} ~ {values[i]!r}"
-    )
+def _check_collisions(values, frozen=None):
+    # CollisionError, naming the first colliding pair of ``values`` that is
+    # not a pair of two ``frozen`` indices: either feeds a 1/(x_i - x_j).
+    limit = _collision_limit(values)
+    pair = _first_collision(values, limit, frozen)
+    if pair is not None:
+        j, i = pair
+        raise CollisionError(
+            f"approximations {j} and {i} are within {limit:.3e} "
+            f"of each other: {values[j]!r} ~ {values[i]!r}"
+        )
 
 
 def q_log_derivative(
@@ -315,9 +251,10 @@ def q_product(
 
 def _deflation(values, multiplicities, index):
     # The deflation sum and product at one index, from its row of pair terms.
-    # Only pairs that involve ``index`` are checked.
+    # Only pairs that involve ``index`` are checked: every other index is
+    # taken as frozen.
     vec = _checked_index(values, multiplicities, index)
-    _check_pairs_of(vec, _collision_limit(vec), index)
+    _check_collisions(vec, [j != index for j in range(len(vec))])
     return _row_sums(vec, multiplicities, index)
 
 
@@ -476,25 +413,32 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     sum_{l != j} alpha_l / (x_j - x_l) and the deflating product
     prod_{l != j} (x_j - x_l)**alpha_l.
 
-    The pairs are first checked for collisions (`_check_collisions`, a
-    screen in front of the full scan), unless ``moved`` is set:
-    `_serial_sweep` checks those builds itself.  With ``rows`` None (a
-    total sweep) no table is kept, and each active row is formed and
-    reduced by `_row_sums`, with its powers inline and no call per pair.
-    Otherwise ``rows[j]`` is `_row` j of the table for an active j.  With
-    ``moved`` None every active row is built.
+    Every build first checks the pairs for collisions (`_check_collisions`:
+    a screen by real part in front of the full scan, pairs of two frozen
+    indices skipped).  The pair terms of (j, l) are alpha_l / (x_j - x_l)
+    and (x_j - x_l)**alpha_l: one complex ``**`` where alpha_l > 1, none
+    for a simple root (the simple-root step runs here with every
+    multiplicity 1).  Complex ``**`` with an exponent up to 100 has the
+    bits of `integer_power` (CPython runs the same binary powering), and
+    beyond 100 the kernel calls `integer_power` itself.
+
+    With ``rows`` None (a total sweep) no table is kept, and each active
+    row is formed and reduced by `_row_sums`, with its powers inline and
+    no call per pair.  Otherwise ``rows[j]`` is `_row` j of the table for
+    an active j.  With ``moved`` None every active row is built, the terms
+    of a(m - 1) ordered pairs for ``a`` active indices out of ``m``.
     Otherwise the table was filled at a vector that differs from ``vec``
     in component ``moved`` alone, and only row ``moved`` and column
-    ``moved`` are refreshed.  Either way each active row is then reduced
-    in full, in order of l, so sums and products are rounded exactly as in
-    a full build.  Unchanged pair terms raised nothing when they were
-    formed, so errors come in the order of a full build too.
+    ``moved`` are refreshed, (m - 1) + (a - 1) pairs.  Either way each
+    active row is then reduced in full, in order of l, so sums and
+    products are rounded exactly as in a full build.  Unchanged pair terms
+    raised nothing when they were formed, so errors come in the order of a
+    full build too.
 
     ``evals[j]`` is index j's (A, A') pair or None; the pairs of active
     indices are evaluated where missing, in order of j, and stored back.
     """
-    if moved is None:
-        _check_collisions(vec, flags, _collision_limit(vec))
+    _check_collisions(vec, flags)
     kernel: list[Optional[tuple]] = [None] * len(vec)
     for j in range(len(vec)):
         if flags[j]:
@@ -561,30 +505,18 @@ def _serial_sweep(vec, flags, prepare, update):
     moved)`` forms the step's quantities at the current vector, reusing
     the (A, A') pairs in ``evals`` and the pair-term table in ``rows``
     (see `_deflate`); ``update(current, prepared, i)`` then returns the
-    new x_i.  Only the moved component is evaluated again.
-
-    The first build checks every pair for collisions.  Before a later one
-    only the moved component's pairs are checked: every other pair is
-    unchanged and passed the previous check, at a limit no smaller, unless
-    the limit has grown (a component moved beyond max(1, max|x|)); then
-    every pair is checked again.  Either way the first colliding pair of
-    a full scan raises.
+    new x_i.  Only the moved component is evaluated again.  Each build
+    checks every pair for collisions, so errors are those of building from
+    scratch before each update.
     """
     m = len(vec)
     current = list(vec)
     evals = [None] * m
     rows = [None] * m
     moved = None
-    limit = _collision_limit(vec)
     for i in range(m):
         if flags[i]:
             continue
-        if moved is not None:
-            checked, limit = limit, _collision_limit(current)
-            if limit > checked:
-                _check_collisions(current, flags, limit)
-            else:
-                _check_pairs_of(current, limit, moved)
         prepared = prepare(current, evals, rows, moved)
         current[i] = update(current, prepared, i)
         evals[i] = None
@@ -826,7 +758,7 @@ def solve(
         # vector is checked in full: two approximations of one root are
         # a collision, not a convergence.
         try:
-            _check_collisions(vec, (False,) * m, _collision_limit(vec))
+            _check_collisions(vec)
         except CollisionError:
             return report(SolveStatus.COLLISION, iterations)
         return report(SolveStatus.CONVERGED, iterations)

@@ -589,14 +589,14 @@ def _ref_ek_step(poly, values, cfg, flags):
     vec = iteration._as_vector(values)
     m = len(vec)
     limit = _collision_limit(vec)
-    iteration._check_collisions(vec, flags, limit)
+    iteration._check_collisions(vec, flags)
     if cfg.update_mode is UpdateMode.SERIAL:
         current = list(vec)
         for i in range(m):
             if flags[i]:
                 continue
             lim = _collision_limit(current)
-            iteration._check_collisions(current, flags, lim)
+            iteration._check_collisions(current, flags)
             _ref_ek_kernel(poly, current, flags)
             current[i] = _ref_ek_update(poly, current, i, flags, lim)
         return tuple(current)
@@ -614,7 +614,7 @@ def _ref_gek_sweep(poly, vec, mults, cfg, flags, indices):
     # alpha_j A_j (s_j / alpha_j)**(alpha_j - 1); then, for each index of
     # ``indices`` in turn, its correction sum and its update.
     m = len(vec)
-    iteration._check_collisions(vec, flags, _collision_limit(vec))
+    iteration._check_collisions(vec, flags)
     active = [j for j in range(m) if not flags[j]]
     evals, deflation = {}, {}
     for j in active:
@@ -904,11 +904,13 @@ def _collision_outcome(check, *args):
 
 
 def _scripted_sweep(vec, flags, moves):
-    """`_serial_sweep` over ``vec`` where component i moves to moves[i]; the
-    first build checks every pair, as `_deflate` does."""
+    """`_serial_sweep` over ``vec``, each build made by the library's kernel,
+    where component i moves to moves[i]."""
+    ones = (1,) * len(vec)
+    poly = MonicPolynomial((0.0,) * len(vec))
+
     def prepare(current, evals, rows, moved):
-        if moved is None:
-            iteration._check_collisions(current, flags, _collision_limit(current))
+        iteration._deflate(poly, current, ones, flags, evals, rows, moved)
 
     def update(current, prepared, i):
         return moves[i]
@@ -921,15 +923,19 @@ def _ref_scripted_sweep(vec, flags, moves):
     current = list(vec)
     for i in range(len(current)):
         if not flags[i]:
-            iteration._check_collisions(current, flags, _collision_limit(current))
+            iteration._check_collisions(current, flags)
             current[i] = moves[i]
     return tuple(current)
 
 
+def _helper_check(vec, k):
+    # the collision check of `q_log_derivative` at index k, its sum dropped
+    q_log_derivative(vec, (1,) * len(vec), k)
+
+
 class TestSerialCollisionCheck:
-    # Before a serial build after the first, only the moved component's
-    # pairs are checked while the collision limit has not grown; errors
-    # are those of checking every pair before every build.
+    # A serial sweep checks every pair before every build, as a build from
+    # scratch would; errors name the first colliding pair of a full scan.
 
     @pytest.mark.parametrize("vec,flags,moves,first_words", [
         # component 1 lands next to component 0, a lower index
@@ -965,39 +971,34 @@ class TestSerialCollisionCheck:
     def test_pairs_of_one_index_match_the_full_scan(self, k, frozen):
         # Every pair but those of k is at least 1 apart; k sits 1e-13 from
         # each other point in turn, so the full scan can fail only at k's
-        # pairs.  k is active, as a moved component is; the others' flags
-        # do not matter.
+        # pairs, and the deflation helpers' check (only k active) must
+        # fail there too.  k is active; the others' flags do not matter.
         flags = frozen[:k] + (False,) + frozen[k + 1:]
         base = [complex(j, 0.5 * j) for j in range(5)]
-        limit = _collision_limit(base)
         for j in range(5):
             vec = list(base)
             vec[k] = base[j] + 1e-13 if j != k else base[k]
-            want = _collision_outcome(iteration._check_collisions, vec, flags, limit)
-            assert _collision_outcome(iteration._check_pairs_of, vec, limit, k) == want
+            want = _collision_outcome(iteration._check_collisions, vec, flags)
+            assert _collision_outcome(_helper_check, vec, k) == want
             assert want[0] == ("ok" if j == k else "CollisionError")
 
-    @pytest.mark.parametrize("moves,full_scans", [
-        ((0.5, 1.5, 2.5, 3.5), 1),     # max|x| never grows: only the first build
-        ((4.5, 1.5, 2.5, 3.5), 2),     # component 0 moves out once
-        ((4.5, 5.0, 5.5, 3.5), 4),     # every build after a move that grows it
-    ])
-    def test_full_scans_only_where_the_limit_grows(self, monkeypatch, moves, full_scans):
-        calls = []
+    @pytest.mark.parametrize("helper", [q_log_derivative, q_product])
+    def test_helpers_ignore_pairs_without_their_index(self, helper):
+        # approximations 1 and 2 coincide; only index 0's pairs feed its sum
+        # and product, so the helpers answer there and raise at 1 and 2
+        vec, ones = (0.0, 5.0, 5.0), (1, 1, 1)
+        assert helper(vec, ones, 0) == (-0.4 if helper is q_log_derivative else 25)
+        for k in (1, 2):
+            with pytest.raises(CollisionError, match="approximations 1 and 2 are within"):
+                helper(vec, ones, k)
 
-        def counting(name):
-            counted = getattr(iteration, name)
-
-            def check(*args):
-                calls.append(name)
-                return counted(*args)
-            return check
-
-        for name in ("_check_collisions", "_check_pairs_of"):
-            monkeypatch.setattr(iteration, name, counting(name))
-        _scripted_sweep((1.0, 2.0, 3.0, 4.0), (False,) * 4, moves)
-        assert calls.count("_check_collisions") == full_scans
-        assert len(calls) == 4  # one check per build
+    def test_s_value_ignores_pairs_without_its_index(self, demo_poly):
+        vec = (0.5, 5.0, 5.0)
+        value, deriv = eval_with_derivative(demo_poly, 0.5)
+        assert s_value(demo_poly, vec, DEMO_MULTS, 0) == \
+            deriv / value - _ref_q_log_derivative(vec, DEMO_MULTS, 0)
+        with pytest.raises(CollisionError, match="approximations 1 and 2 are within"):
+            s_value(demo_poly, vec, DEMO_MULTS, 2)
 
 
 class TestSolve:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from multiroots import (
-    CollisionError,
     MonicPolynomial,
     NonFiniteError,
     RootSystem,
@@ -18,13 +17,10 @@ from multiroots import (
     q_log_derivative,
     separation,
 )
-from multiroots.iteration import (
-    _check_collisions,
-    _power,
-    _scan_collisions,
-    q_product,
-)
+from multiroots.iteration import _power, q_product
 from multiroots.polynomial import integer_power
+from multiroots.rootsystem import _first_collision
+from test_rootsystem import root_system_outcome, ref_root_system_outcome
 
 finite_reals = st.floats(min_value=-10.0, max_value=10.0,
                          allow_nan=False, allow_infinity=False)
@@ -242,12 +238,15 @@ def test_deflation_helpers_empty_cases_and_consistency(rs):
                 pytest.approx(explicit, rel=1e-12)
 
 
-def _collision_outcome(check, values, frozen, limit):
-    try:
-        check(values, frozen, limit)
-    except CollisionError as exc:
-        return "CollisionError", str(exc)
-    return "ok", None
+def _scan_collisions(values, limit, frozen):
+    # The full scan alone, as the solver ran it before the screen: the first
+    # pair (j, i) within the limit, in order of i and then j, where not both
+    # are frozen.
+    for i in range(len(values)):
+        for j in range(i):
+            if not (frozen[i] and frozen[j]) and abs(values[i] - values[j]) <= limit:
+                return j, i
+    return None
 
 
 #: Offsets from a point, in units of the limit, that put a second point on
@@ -299,8 +298,14 @@ def collision_cases(draw):
 @example(((0j, complex(1 + 2 ** -52, 0.0), complex(1.0, 1e300)), (False,) * 3, 1.0))
 def test_screened_collision_check_is_the_full_scan(case):
     values, frozen, limit = case
-    assert (_collision_outcome(_check_collisions, values, frozen, limit)
-            == _collision_outcome(_scan_collisions, values, frozen, limit))
+    assert _first_collision(values, limit, frozen) == _scan_collisions(values, limit, frozen)
+
+
+@given(collision_cases())
+@settings(max_examples=200, deadline=None)
+def test_root_system_rejects_as_its_full_scan_did(case):
+    roots = case[0]
+    assert root_system_outcome(roots) == ref_root_system_outcome(roots)
 
 
 def test_collision_screen_looks_past_a_neighbour_in_real_part():
@@ -308,9 +313,6 @@ def test_collision_screen_looks_past_a_neighbour_in_real_part():
     # 50 limits above.  Sorted by real part the order is A, B, C, so a
     # screen that tested only neighbours would miss (A, C).
     values = (complex(0.8, 0.5), 0j, complex(0.4, 50.0))
-    got = _collision_outcome(_check_collisions, values, (False,) * 3, 1.0)
-    assert got == ("CollisionError", "approximations 0 and 1 are within 1.000e+00 "
-                   "of each other: (0.8+0.5j) ~ 0j")
+    assert _first_collision(values, 1.0) == (0, 1)
     # a hit on a pair of frozen indices passes through the full scan
-    assert _collision_outcome(_check_collisions, values, (True, True, False), 1.0) == \
-        ("ok", None)
+    assert _first_collision(values, 1.0, (True, True, False)) is None

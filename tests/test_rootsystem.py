@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from multiroots import (
     poly_from_roots,
     separation,
 )
+from multiroots.rootsystem import _collision_limit
 from conftest import continuous_system
 
 
@@ -39,6 +41,28 @@ def correctly_rounded(roots, mults):
     """The exact expansion with each part rounded once to binary64."""
     return bits(complex(float(re), float(im))
                 for re, im in exact_expansion(roots, mults))
+
+
+def root_system_outcome(roots):
+    """The message of the ValueError a `RootSystem` of simple ``roots``
+    raises, or None where it accepts them."""
+    try:
+        RootSystem(roots, (1,) * len(roots))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def ref_root_system_outcome(roots):
+    """`root_system_outcome` by the loop `RootSystem` carried before it took
+    the screened scan: every pair, in order of the later index."""
+    limit = _collision_limit(roots)
+    for i in range(len(roots)):
+        for j in range(i):
+            if abs(roots[i] - roots[j]) <= limit:
+                return (f"roots {j} and {i} are closer than {limit:.3e}; "
+                        f"merge them into one root of higher multiplicity")
+    return None
 
 
 class TestRootSystemValidation:
@@ -70,6 +94,37 @@ class TestRootSystemValidation:
         # threshold is relative to the largest root magnitude
         with pytest.raises(ValueError):
             RootSystem((1e6, 1e6 + 1e-8), (1, 1))
+
+    @pytest.mark.parametrize("k", [-60, -41, -1, 0, 1, 40, 500])
+    @pytest.mark.parametrize("roots,first_pair", [
+        # conjugates with equal real parts, 2e-13 apart
+        ((0.5 + 1e-13j, 0.25, 0.5 - 1e-13j), (0, 2)),
+        # conjugates far apart, then a pair that collides
+        ((0.5 + 0.5j, 0.5 - 0.5j, -0.3, -0.3 + 9e-13j), (2, 3)),
+        # A and C collide; B lies between them in real part, 50 limits up
+        ((0.3, 0.3 + complex(0.4e-12, 50e-12), 0.3 + complex(0.8e-12, 0.5e-12)), (0, 2)),
+        ((0.3 + complex(0.8e-12, 0.5e-12), 0.3 + complex(0.4e-12, 50e-12), 0.3), (0, 2)),
+        # pairs one ulp of the limit (1e-12 while |x| <= 1) either side of it
+        ((1.0, 0j, complex(1e-12 * (1 + 2 ** -52))), None),
+        ((1.0, 0j, complex(1e-12 * (1 - 2 ** -52))), (1, 2)),
+        ((-1.0, 0j, complex(0, -1e-12 * (1 - 2 ** -52))), (1, 2)),
+        ((-1.0, 0j, complex(0, -1e-12 * (1 + 2 ** -52))), None),
+        # every pair collides: the first in order of the later index
+        ((0.0, 1e-13, 2e-13, 3e-13), (0, 1)),
+        # a far pair ahead in real part, the collision behind it
+        ((5e-13, 0.9, 0.9 + 5e-13, 0.0), (1, 2)),
+    ])
+    def test_rejects_as_its_full_scan_did(self, roots, first_pair, k):
+        # Unscaled, each case names ``first_pair``; scaled by 2^k the limit
+        # scales too (|x| > 1) or stays 1e-12, and the full scan decides.
+        if k == 0:
+            got = root_system_outcome(roots)
+            if first_pair is None:
+                assert got is None
+            else:
+                assert got.startswith("roots %d and %d are closer than 1.000e-12" % first_pair)
+        scaled = tuple(math.ldexp(1.0, k) * complex(r) for r in roots)
+        assert root_system_outcome(scaled) == ref_root_system_outcome(scaled)
 
     def test_degree_sums_multiplicities(self):
         rs = RootSystem((-2, 1, 3), (2, 1, 3))

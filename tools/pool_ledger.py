@@ -23,13 +23,18 @@ wrapped where ``multiroots`` looks them up:
   them);
 - passes where z' != z (a part of z rounded to the grid 2^min(0, e-110));
 - fixed-grid passes by g, the power with A(x) = P(x^g);
-- collision scans (``iteration._check_collisions``) and, of those, the
-  ones whose screen found a pair within the limit and ran the full scan;
+- collision scans (calls of ``rootsystem._first_collision`` from
+  ``iteration``: every kernel build, each solve's final check, and the
+  checks of `q_log_derivative`, `q_product` and `s_value`; `RootSystem`'s
+  own are not counted) and, of those, the ones whose screen found a pair
+  within the limit and ran the full scan;
 - deflation rows formed in one loop (``iteration._row_sums``: each active
   row of a total sweep, and the rows of `q_log_derivative` and
   `q_product`) and, of those, the rows formed again on the reference path
   (``_row``, then ``_reduce_row``) after a power or a product that is
-  not finite.
+  not finite;
+- rows of the serial sweep's pair-term table reduced (``_reduce_row``
+  outside ``_row_sums``: each active row at each serial build).
 
 Standard library only; run from anywhere, with the library importable
 (``PYTHONPATH=src``).
@@ -62,8 +67,8 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     saved = {name: getattr(polynomial, name) for name in
              ("_horner_pair", "_exact_pair", "_exact_real_pair", "_fixed_grid_pair")}
     kernel = {name: getattr(iteration, name) for name in
-              ("eval_with_derivative", "_check_collisions", "_scan_collisions",
-               "_row_sums", "_row")}
+              ("eval_with_derivative", "_first_collision", "_row_sums", "_row",
+               "_reduce_row")}
     in_row_sums = [False]
 
     def counted_eval(poly, z):
@@ -84,13 +89,12 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
                 counts["fell_back_zero" if zero else "fell_back_other"] += 1
         return pair
 
-    def counted_check(*args):
+    def counted_check(values, limit, frozen=None):
+        # the screen runs the full scan where any pair, frozen or not, lies
+        # within the limit: where the check without flags finds a pair
         counts["checks"] += 1
-        return kernel["_check_collisions"](*args)
-
-    def counted_scan(*args):
-        counts["scans"] += 1
-        return kernel["_scan_collisions"](*args)
+        counts["scans"] += kernel["_first_collision"](values, limit) is not None
+        return kernel["_first_collision"](values, limit, frozen)
 
     def counted_row_sums(*args):
         counts["rows"] += 1
@@ -103,6 +107,10 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     def counted_row(*args):
         counts["reference_rows"] += in_row_sums[0]
         return kernel["_row"](*args)
+
+    def counted_reduce_row(row):
+        counts["table_rows"] += not in_row_sums[0]
+        return kernel["_reduce_row"](row)
 
     def counted_exact(name):
         def counted(*args):
@@ -123,10 +131,10 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     statuses = collections.Counter()
     accurate = sweeps = solves = 0
     iteration.eval_with_derivative = counted_eval
-    iteration._check_collisions = counted_check
-    iteration._scan_collisions = counted_scan
+    iteration._first_collision = counted_check
     iteration._row_sums = counted_row_sums
     iteration._row = counted_row
+    iteration._reduce_row = counted_reduce_row
     polynomial._horner_pair = counted_horner
     polynomial._exact_pair = counted_exact("_exact_pair")
     polynomial._exact_real_pair = counted_exact("_exact_real_pair")
@@ -163,6 +171,7 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
         f"(full scans after the screen: {counts['scans']})",
         f"deflation rows: {counts['rows']} "
         f"(rows re-run on the reference path: {counts['reference_rows']})",
+        f"serial table rows reduced: {counts['table_rows']}",
     ]
 
 

@@ -28,8 +28,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads as wl  # noqa: E402
 from worker import POOL_SIZE  # noqa: E402
 
-from multiroots import iteration, polynomial, rootsystem  # noqa: E402
-
 GENERATORS = {
     "small": wl.small_problems,
     "wide_total": wl.wide_total_problems,
@@ -56,19 +54,30 @@ def report_bytes(report) -> bytes:
     return b"".join(parts)
 
 
-def solve_pool(workload: str, seed: int, count: int):
-    """Yield (problem, report) for each problem of the pool, in order,
-    solved as ``bench/worker.py`` solves it."""
+def pool_arguments(workload: str, seed: int, count: int, lib) -> list[tuple]:
+    """(problem, arguments) for each problem of the pool, in order: the
+    positional arguments and ``use_simple_step`` with which
+    ``bench/worker.py`` solves it, built by the package ``lib`` (the
+    library, or a copy of it under another name)."""
+    pool = []
     for p in GENERATORS[workload](random.Random(seed), count):
         if p.coefficients is None:
-            poly = rootsystem.poly_from_roots(
-                rootsystem.RootSystem(p.roots, p.multiplicities))
+            poly = lib.poly_from_roots(lib.RootSystem(p.roots, p.multiplicities))
         else:
-            poly = polynomial.MonicPolynomial(p.coefficients)
-        config = iteration.SolveConfig(update_mode=iteration.UpdateMode(p.mode),
-                                       **p.config)
-        yield p, iteration.solve(poly, p.multiplicities, p.initial, config,
-                                 use_simple_step=p.simple_step)
+            poly = lib.MonicPolynomial(p.coefficients)
+        config = lib.SolveConfig(update_mode=lib.UpdateMode(p.mode), **p.config)
+        pool.append((p, (poly, p.multiplicities, p.initial, config, p.simple_step)))
+    return pool
+
+
+def solve_pool(workload: str, seed: int, count: int):
+    """Yield (problem, report) for each problem of the pool, in order,
+    solved by ``multiroots`` as ``bench/worker.py`` solves it."""
+    import multiroots  # here, so that a copy of the library builds pools without it
+
+    for p, (poly, mults, initial, config, simple) in pool_arguments(
+            workload, seed, count, multiroots):
+        yield p, multiroots.solve(poly, mults, initial, config, use_simple_step=simple)
 
 
 def pool_digest(workload: str, seed: int, count: int) -> str:
