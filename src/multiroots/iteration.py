@@ -415,7 +415,7 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
 
     Every build first checks the pairs for collisions (`_check_collisions`:
     a screen by real part in front of the full scan, pairs of two frozen
-    indices skipped).  The pair terms of (j, l) are alpha_l / (x_j - x_l)
+    indices skipped, by the screen too).  The pair terms of (j, l) are alpha_l / (x_j - x_l)
     and (x_j - x_l)**alpha_l: one complex ``**`` where alpha_l > 1, none
     for a simple root (the simple-root step runs here with every
     multiplicity 1).  Complex ``**`` with an exponent up to 100 has the

@@ -83,22 +83,35 @@ def _first_collision(values, limit, frozen=None):
     2 * limit of each other are measured (about m pairs where the points
     are spread out).  It is sound: a colliding pair has |Re d| <= |d| and
     abs(d) <= limit, and abs errs by under an ulp, so its real parts lie
-    less than 2 * limit apart.  Only a hit runs the scan of all
-    m(m - 1)/2 pairs, which names the first pair; a hit on a pair of frozen
-    indices passes through it.
+    less than 2 * limit apart.  A hit runs `_scan_pairs`, the scan of all
+    m(m - 1)/2 pairs that names the first pair, unless neither point of
+    the hit equals an unfrozen value: then every pair of indices it can
+    stand for is a pair of frozen indices, which the scan skips, and the
+    screen goes on.
     """
     points = sorted(values, key=_REAL)
     reach = 2 * limit
+    unfrozen = None
     for n in range(1, len(points)):
         z = points[n]
         k = n - 1
         while k >= 0 and z.real - points[k].real <= reach:
             if abs(z - points[k]) <= limit:
-                return next(((j, i) for i, x_i in enumerate(values) for j in range(i)
-                             if not (frozen and frozen[i] and frozen[j])
-                             and abs(x_i - values[j]) <= limit), None)
+                if not frozen:
+                    return _scan_pairs(values, limit, frozen)
+                if unfrozen is None:
+                    unfrozen = {x for x, f in zip(values, frozen) if not f}
+                if z in unfrozen or points[k] in unfrozen:
+                    return _scan_pairs(values, limit, frozen)
             k -= 1
     return None
+
+
+def _scan_pairs(values, limit, frozen):
+    # `_first_collision` by checking every pair, in its order
+    return next(((j, i) for i, x_i in enumerate(values) for j in range(i)
+                 if not (frozen and frozen[i] and frozen[j])
+                 and abs(x_i - values[j]) <= limit), None)
 
 
 def _as_multiplicity(a) -> int:

@@ -26,7 +26,7 @@ from multiroots import (
     s_value,
     solve,
 )
-from multiroots import iteration, polynomial
+from multiroots import iteration, polynomial, rootsystem
 from multiroots.iteration import build_step_workspace, q_product
 from multiroots.polynomial import integer_power, require_finite
 from multiroots.rootsystem import _collision_limit
@@ -991,6 +991,30 @@ class TestSerialCollisionCheck:
         for k in (1, 2):
             with pytest.raises(CollisionError, match="approximations 1 and 2 are within"):
                 helper(vec, ones, k)
+
+    def test_frozen_pairs_do_not_run_the_full_scan(self, monkeypatch):
+        # The helpers at index 0 pass 1 and 2 as frozen: where those two
+        # coincide, the screen's hit is a pair of frozen indices and the
+        # scan of every pair must not run; where 0 coincides with one of
+        # them, it runs once and names the pair.
+        scans = []
+        scan_pairs = rootsystem._scan_pairs
+
+        def counted(*args):
+            scans.append(args)
+            return scan_pairs(*args)
+
+        monkeypatch.setattr(rootsystem, "_scan_pairs", counted)
+        assert q_product((0.0, 5.0, 5.0), (1, 1, 1), 0) == 25
+        assert q_log_derivative((0.0, 5.0, 5.0), (1, 1, 1), 0) == -0.4
+        assert scans == []
+        with pytest.raises(CollisionError, match="approximations 0 and 2 are within"):
+            q_product((5.0, 0.0, 5.0), (1, 1, 1), 0)
+        assert len(scans) == 1
+        # a build with two frozen approximations on one point scans nothing
+        build_step_workspace(MonicPolynomial((0.0, 0.0, -1.0)), (0.5, 5.0, 5.0), (1, 1, 1),
+                             (False, True, True))
+        assert len(scans) == 1
 
     def test_s_value_ignores_pairs_without_its_index(self, demo_poly):
         vec = (0.5, 5.0, 5.0)

@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import math
 import pickle
@@ -898,6 +899,22 @@ def near_multiple_real_lacunary_roots(draw):
     return MonicPolynomial(spread(low, g)), complex(*r) + offset
 
 
+def assert_substituted_passes_decide(poly, g, real):
+    """At 20 random points of the unit square every evaluation of ``poly``
+    (in x^g) is one fixed-grid pass at step g that decides, with the
+    oracle's bits."""
+    rng = random.Random(60)
+    points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
+    reset_memo()
+    with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
+        got = [outcome(eval_with_derivative, poly, z) for z in points]
+    # no exact pass; args[2] is ``real`` and args[-1] the step g
+    assert [(name, args[2], args[-1]) for name, args in passes] == [
+        ("_fixed_grid_pair", real, g)] * 20
+    assert polynomial._last_scaled[4][0] == g
+    assert got == [outcome(oracle_eval, poly, z) for z in points]
+
+
 class TestLacunary:
     @settings(max_examples=250, deadline=None)
     @given(poly=lacunary_polys(), z=two_stage_points)
@@ -959,17 +976,13 @@ class TestLacunary:
     def test_ring_polynomial_takes_the_substituted_pass(self, real):
         # degree 60 in x^12: each fixed-grid pass runs five steps at z^12
         # and decides
-        rng = random.Random(60)
-        poly = lacunary(60, 12, 12, real=real)
-        points = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
-        reset_memo()
-        with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
-            got = [outcome(eval_with_derivative, poly, z) for z in points]
-        # no exact pass; args[2] is ``real`` and args[-1] the step g
-        assert [(name, args[2], args[-1]) for name, args in passes] == [
-            ("_fixed_grid_pair", real, 12)] * 20
-        assert polynomial._last_scaled[4][0] == 12
-        assert got == [outcome(oracle_eval, poly, z) for z in points]
+        assert_substituted_passes_decide(lacunary(60, 12, 12, real=real), 12, real)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_polynomial_in_x2_takes_the_substituted_pass(self, real):
+        # in x^2, U = z' keeps all its bits (nothing is floored), and
+        # A' = 2 U P'(W) decides as well
+        assert_substituted_passes_decide(lacunary(96, 2, 2, real=real), 2, real)
 
     @pytest.mark.parametrize("z", [
         complex(0.6, 0.8), complex(0.6e-100, -0.8e-100), complex(5e-324, -3e-320)])
@@ -983,6 +996,134 @@ class TestLacunary:
             got = outcome(eval_with_derivative, poly, z)
         assert [args[-1] for _, args in passes] == [96]
         assert got == exact_pass(poly, z) == outcome(oracle_eval, poly, z)
+
+
+# The bounds themselves.  The fixed-grid pass hands `_rounded` each part as
+# an interval [v - b, v + b] 2^-k, and a pair it returns is the exact
+# pass's only if every interval holds its exact part.  These tests record
+# the intervals, decided or not, and check each against the exact value at
+# z'; the results alone would hide a bound that is too small but happens to
+# round to the right number.
+
+@contextlib.contextmanager
+def recorded_intervals():
+    """Yield a list that gets the (v, b, k) of each `_rounded` call made
+    inside."""
+    intervals = []
+    rounded = polynomial._rounded
+
+    def recording(v, b, k):
+        intervals.append((v, b, k))
+        return rounded(v, b, k)
+
+    polynomial._rounded = recording
+    try:
+        yield intervals
+    finally:
+        polynomial._rounded = rounded
+
+
+def assert_intervals_hold(poly, z):
+    """A cold fixed-grid pass at z hands `_rounded` the intervals of Re A,
+    Im A, Re A' and Im A', in that order, and each holds the exact part."""
+    with recorded_intervals() as intervals, counted_passes(fixed_grid_everywhere=True):
+        cold_outcome(poly, z)
+    assert len(intervals) == 4, (poly, z)
+    (vr, vi), (dr, di) = exact_eval(poly, grid_point(complex(z)))
+    for part, (v, b, k), exact in zip(("Re A", "Im A", "Re A'", "Im A'"),
+                                      intervals, (vr, vi, dr, di)):
+        assert abs(v - exact * 2 ** k) <= b, (part, poly, z)
+
+
+def ring_polynomial(c, rings, real=True):
+    """Prod (x^c - w)^alpha over ``rings``, (w, alpha) pairs with w a
+    Gaussian integer (s R^c, the ring of radius R = |w|^(1/c)); with
+    ``real`` the coefficients are stored as real numbers."""
+    low = from_roots([w for w, alpha in rings for _ in range(alpha)]).low_coefficients
+    if real:
+        low = [c.real for c in low]
+    return MonicPolynomial(spread(low, c))
+
+
+#: Three rings of 8 roots each: radii 1, 2 and 3, the middle one double.
+THREE_RINGS = ring_polynomial(8, [((1, 0), 1), ((256, 0), 2), ((6561, 0), 1)])
+
+
+def near_axis_point(root, offset, gap):
+    """A point ``offset`` 2^-8 |root| off ``root`` (on the real or imaginary
+    axis) along that axis, and 2^-gap / 8 of |root| off the axis, so that
+    z^8 is about 2^-gap of its modulus off the real axis."""
+    return root * (1 + offset * 2.0 ** -8) + root * 1j * ldexp(1.0, -gap) / 8
+
+
+class TestBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(poly=st.one_of(st.builds(dense, st.sampled_from([24, 48]), st.integers(0, 9),
+                                    real=st.booleans()),
+                          st.builds(lacunary, st.sampled_from([24, 60, 96]),
+                                    st.sampled_from([2, 3, 12]), st.integers(0, 9),
+                                    real=st.booleans())),
+           z=st.one_of(st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                       near_real_points.filter(lambda z: 0 < abs(z) < 2)))
+    def test_random_polynomials_g_1_and_above(self, poly, z):
+        assert_intervals_hold(poly, z)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("gap", [0, 20, 60, 100, 200])
+    def test_ring_polynomial_near_its_roots(self, real, gap):
+        # the roots on the axes: z^8 is real there, and near them Im z^8
+        # is about 2^-gap of |z^8| (a gap of 0 puts z 1/8 off the axis;
+        # at 200 the grid of z' rounds the small part away, and Im A and
+        # Im A' are exactly 0)
+        poly = ring_polynomial(8, [((1, 0), 1), ((256, 0), 2), ((6561, 0), 1)], real)
+        for root in (1, -2, 3j, -1j):
+            for offset in (-0.7, 0.3):
+                assert_intervals_hold(poly, near_axis_point(root, offset, gap))
+
+    def test_complex_ring_signs(self):
+        # rings x^7 = -2^7 and x^7 = 3^7 i (complex coefficients): near
+        # their roots U = z^6 and W = z^7 have two parts of about one size
+        poly = ring_polynomial(7, [((-128, 0), 2), ((0, 2187), 1)], real=False)
+        rng = random.Random(7)
+        for _ in range(10):
+            radius, angle = rng.choice([(2, math.pi / 7), (3, math.pi / 14)])
+            root = cmath.rect(radius, angle + 2 * math.pi * rng.randrange(7) / 7)
+            assert_intervals_hold(poly, root * (1 + ldexp(rng.uniform(-1, 1), -30)))
+
+    @pytest.mark.parametrize("real, imag", [
+        (False, 0.0), (True, 0.0), (True, 2.0 ** -50)])
+    def test_floors_that_add_up(self, real, imag):
+        # The polynomial of `test_derivative_bound_covers_errors_that_add_up`:
+        # near 1 every floor errs the same way.
+        low = list(from_roots([(1, 0)] * 5 + [(-1, 0)] * 50).low_coefficients)
+        low[-1] += 1
+        if not real:
+            low[-2] += 1j
+        poly = MonicPolynomial(low)
+        for j in range(1, 41, 3):
+            for re in (1 - j * 2.0 ** -48, 1 + j * 2.0 ** -48):
+                assert_intervals_hold(poly, complex(re, j * imag))
+
+
+class TestNearAxis:
+    def test_three_rings_decide_where_z_g_nears_the_real_axis(self):
+        # A quarter of the ring iterates of the benchmark pools have one
+        # part of W = z'^g 49 or more bits below the other.  Im A and Im A'
+        # are then far below the terms, and the pass decides them only if
+        # Im W keeps its own bits: one floored to the grid of Re W would
+        # send these points to the exact pass (or, where it floors to 0,
+        # give them wrong bounds).
+        points = [near_axis_point(root, offset, gap)
+                  for root, offset in ((1, 0.3), (-2, -0.7), (3j, 0.3), (-1j, -0.7))
+                  for gap in (20, 40, 60, 80, 100)]
+        reset_memo()
+        with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
+            got = [outcome(eval_with_derivative, THREE_RINGS, z) for z in points]
+        assert [(name, args[-1]) for name, args in passes] == [("_fixed_grid_pair", 8)] * 20
+        assert got == [outcome(oracle_eval, THREE_RINGS, z) for z in points]
+        for z in points:
+            w = grid_point(z) ** 8
+            assert 2.0 ** -104 <= abs(w.imag) / abs(w) <= 2.0 ** -17, z
 
 
 # The fixed-grid pass decides each part on integers where it can and by two

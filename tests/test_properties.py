@@ -296,6 +296,10 @@ def collision_cases(draw):
 @example(((0j, complex(0.4, 50.0), complex(0.8, 0.5)), (False,) * 3, 1.0))
 @example(((0j, complex(1.0, 0.0), complex(0.0, 1.0)), (True, True, False), 1.0))
 @example(((0j, complex(1 + 2 ** -52, 0.0), complex(1.0, 1e300)), (False,) * 3, 1.0))
+# equal values, frozen and not: the screen tells them apart by value only
+@example(((5 + 0j, 5 + 0j, 5 + 0j), (False, True, True), 1.0))
+@example(((5 + 0j, 0j, 5 + 0j), (True, False, True), 1.0))
+@example(((5 + 0j, 0j, 5.5 + 0j, 5 + 0j), (True, False, False, True), 1.0))
 def test_screened_collision_check_is_the_full_scan(case):
     values, frozen, limit = case
     assert _first_collision(values, limit, frozen) == _scan_collisions(values, limit, frozen)
@@ -314,5 +318,5 @@ def test_collision_screen_looks_past_a_neighbour_in_real_part():
     # screen that tested only neighbours would miss (A, C).
     values = (complex(0.8, 0.5), 0j, complex(0.4, 50.0))
     assert _first_collision(values, 1.0) == (0, 1)
-    # a hit on a pair of frozen indices passes through the full scan
+    # a hit on a pair of frozen indices is passed over
     assert _first_collision(values, 1.0, (True, True, False)) is None

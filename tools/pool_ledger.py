@@ -27,7 +27,8 @@ wrapped where ``multiroots`` looks them up:
   ``iteration``: every kernel build, each solve's final check, and the
   checks of `q_log_derivative`, `q_product` and `s_value`; `RootSystem`'s
   own are not counted) and, of those, the ones whose screen found a pair
-  within the limit and ran the full scan;
+  within the limit, not both frozen, and ran the full scan
+  (``rootsystem._scan_pairs``);
 - deflation rows formed in one loop (``iteration._row_sums``: each active
   row of a total sweep, and the rows of `q_log_derivative` and
   `q_product`) and, of those, the rows formed again on the reference path
@@ -50,7 +51,7 @@ from math import frexp, ldexp
 import trace_digest  # first: it puts bench/ on sys.path for worker
 from worker import POOL_SIZE
 
-from multiroots import iteration, polynomial
+from multiroots import iteration, polynomial, rootsystem
 
 
 def _moved(x: float, y: float) -> bool:
@@ -69,7 +70,9 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     kernel = {name: getattr(iteration, name) for name in
               ("eval_with_derivative", "_first_collision", "_row_sums", "_row",
                "_reduce_row")}
+    scan_pairs = rootsystem._scan_pairs
     in_row_sums = [False]
+    in_check = [False]
 
     def counted_eval(poly, z):
         counts["eval"] += 1
@@ -90,11 +93,16 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
         return pair
 
     def counted_check(values, limit, frozen=None):
-        # the screen runs the full scan where any pair, frozen or not, lies
-        # within the limit: where the check without flags finds a pair
         counts["checks"] += 1
-        counts["scans"] += kernel["_first_collision"](values, limit) is not None
-        return kernel["_first_collision"](values, limit, frozen)
+        in_check[0] = True
+        try:
+            return kernel["_first_collision"](values, limit, frozen)
+        finally:
+            in_check[0] = False
+
+    def counted_scan(*args):
+        counts["scans"] += in_check[0]
+        return scan_pairs(*args)
 
     def counted_row_sums(*args):
         counts["rows"] += 1
@@ -132,6 +140,7 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
     accurate = sweeps = solves = 0
     iteration.eval_with_derivative = counted_eval
     iteration._first_collision = counted_check
+    rootsystem._scan_pairs = counted_scan
     iteration._row_sums = counted_row_sums
     iteration._row = counted_row
     iteration._reduce_row = counted_reduce_row
@@ -150,6 +159,7 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
             setattr(iteration, name, function)
         for name, function in saved.items():
             setattr(polynomial, name, function)
+        rootsystem._scan_pairs = scan_pairs
     return [
         f"pool: {workload} seed {seed} count {count}",
         f"solves: {solves}",
