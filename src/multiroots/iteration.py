@@ -111,8 +111,7 @@ class SolveConfig(Record):
             raise ValueError("max_iterations must be >= 1")
         for name, value in (("step_tolerance", step_tolerance),
                             ("residual_tolerance", residual_tolerance)):
-            if isinstance(value, bool) or not (
-                    0.0 < value < math.inf and _is_positive_binary64(value)):
+            if isinstance(value, bool) or not _is_positive_binary64(value):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if not isinstance(update_mode, UpdateMode):
             raise ValueError(f"update_mode must be an UpdateMode, got {update_mode!r}")
@@ -125,10 +124,11 @@ class SolveConfig(Record):
 def _is_positive_binary64(value) -> bool:
     # 0 < 10**400 < inf holds for the int, yet no binary64 number is that
     # large: float() raises OverflowError for it, and rounds a Decimal or
-    # Fraction beyond the range to inf or 0.0.
+    # Fraction beyond the range to inf or 0.0.  A value that does not
+    # compare with a float (a str, None, a complex) is no number either.
     try:
-        return 0.0 < float(value) < math.inf
-    except OverflowError:
+        return 0.0 < value < math.inf and 0.0 < float(value) < math.inf
+    except (OverflowError, TypeError):
         return False
 
 

@@ -131,8 +131,8 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     Sum |a_k| |z'|^(n-k); each step floors its products, coefficient bits
     below the grid are dropped, and a rigorous bound on the error of A and
     of A' is carried (for real coefficients Im A and Im A', Im z' times a
-    real value, keep a finer scale where that gives the smaller bound, so
-    points near the real axis decide too).  Each part is then decided on
+    real value, are kept on the finer scale of that product, so points
+    near the real axis decide too).  Each part is then decided on
     its own scale.  Where its error interval, widened by one unit at the
     low end, lies in one 2^-55 slice of a normal binade, no rounding
     boundary falls inside, and the slice's 55-bit index gives the rounded
@@ -153,58 +153,57 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     pass), A(x) = P(x^g), and the fixed-grid pass runs on P at W = z'^g in
     n/g steps, and A'(z') = g U P'(W).  U = z'^(g-1) and W = z' U are
     formed exactly as Gaussian integers, so their parts have about g E
-    bits (343 to 1404 on the seed-1501 `wide_total` pool), but the whole
-    pass runs at the width of the loop's values, h bits (derived per pass
-    from the grid, n, max(1, |W|) and the |a_k|: 267 to 309 on that
-    pool).  For real coefficients the loop takes 2 Re W and |W|^2 floored
-    to 2^-h once per pass wherever 2 g E exceeds h; the complex loop
-    multiplies by W's parts.  What follows the loop takes W, and A'(z')
-    takes U, each floored to a common 2^-p that keeps h + 1 bits of the
-    smaller part (so that where z'^g nears the real axis, as at the ring
-    polynomials' converged iterates, Im W keeps its own bits), and each
-    bound carries what these floors drop: each part of A'(z') errs by at
+    bits (343 to 1404 on the seed-1501 `wide_total` pool).  For real
+    coefficients the loop takes 2 Re W and |W|^2 floored to 2^-h once per
+    pass wherever 2 g E exceeds h, h being the width of the loop's values
+    (derived per pass from the grid, n, max(1, |W|) and the |a_k|: 267 to
+    309 on that pool), so that a step multiplies h-bit integers; the
+    complex loop multiplies by W's parts.  What follows the loop takes W,
+    and A'(z') takes U, at all their bits: each part of A'(z') errs by at
     most g (|Re U| b + |Im U| b'), b and b' the bounds of the parts of
-    P'(W) it multiplies, plus g times one unit of U's floor times the size
-    of each such part of P'(W) whose factor the floor moved.  The
-    rounding test is the same, and the exact pass still takes n steps at
-    z'.  At tiny z the substitution decides where those n steps cannot:
-    A' of a polynomial with a_(n-1) = 0 lies below the grid at z', but
-    P'(W) need not lie below the grid at W.  The benchmark's ring
-    polynomials, products of (x^c - s R^c)^alpha, all take it.
+    P'(W) it multiplies.  The rounding test is the same, and the exact
+    pass still takes n steps at z'.  At tiny z the substitution decides
+    where those n steps cannot: A' of a polynomial with a_(n-1) = 0 lies
+    below the grid at z', but P'(W) need not lie below the grid at W.  The
+    benchmark's ring polynomials, products of (x^c - s R^c)^alpha, all
+    take it.
 
     Per call at a new point, in us, as two-stage / exact pass alone at
     |z| ~ 1, |z| ~ 1e-100 and subnormal z (one figure where only the exact
     pass runs); dense rows have random coefficients in the unit square,
     "in x^g, n" rows random ones at the multiples of g only, and the
     points are random in the unit square times 1, 1e-100 and 2^-1030
-    (median of 9 interleaved runs of 60 points on a shared 2-vCPU box,
-    CPython 3.11.7; single runs scatter widely):
+    (median of 9 interleaved runs of 60 points, each run after one call
+    that sets the polynomial up, on a shared 2-vCPU box, CPython 3.11.7;
+    single runs scatter widely):
 
     ========================  ==========  ============  ===========
     polynomial, coefficients  |z| ~ 1     |z| ~ 1e-100  subnormal z
     ========================  ==========  ============  ===========
-    dense 6, real             7           11            16 / 22
-    dense 6, complex          16          26            18 / 28
-    dense 24, real            28 / 30     22 / 101      25 / 200
-    dense 24, complex         38 / 45     40 / 142      45 / 350
-    dense 48, real            48 / 68     32 / 324      35 / 659
-    dense 48, complex         64 / 103    73 / 524      125 / 1799
-    dense 96, real            84 / 207    77 / 1842     56 / 2384
-    dense 96, complex         117 / 303   134 / 1821    146 / 4288
-    in x^12, 60, real         24 / 87     25 / 388      29 / 806
-    in x^12, 60, complex      29 / 142    34 / 589      36 / 1389
-    in x^2, 96, real          56 / 189    29 / 1045     37 / 2539
-    in x^2, 96, complex       89 / 333    77 / 1478     77 / 3672
-    x^24 - 1/2                20 / 23     31 / 30       45 / 40
-    x^96 - 1/2                80 / 182    102 / 198     118 / 180
+    dense 6, real             6           15            12 / 17
+    dense 6, complex          11          12            15 / 24
+    dense 24, real            23 / 22     17 / 74       20 / 159
+    dense 24, complex         32 / 36     34 / 120      35 / 268
+    dense 48, real            40 / 57     26 / 283      31 / 586
+    dense 48, complex         60 / 94     53 / 389      61 / 954
+    dense 96, real            79 / 183    49 / 975      48 / 2131
+    dense 96, complex         113 / 268   99 / 1375     112 / 3533
+    in x^12, 60, real         23 / 82     23 / 308      35 / 1129
+    in x^12, 60, complex      45 / 194    27 / 543      30 / 1206
+    in x^2, 96, real          49 / 162    26 / 924      32 / 2128
+    in x^2, 96, complex       77 / 291    72 / 1480     72 / 3471
+    x^24 - 1/2                22 / 22     28 / 24       32 / 28
+    x^96 - 1/2                113 / 165   135 / 178     134 / 165
     ========================  ==========  ============  ===========
 
-    No row falls back.  Where W and U have more bits than the loop keeps
-    (g E above h), the pass multiplies them floored: x^96 - 1/2, whose one
-    step at z'^96 and A'(z') = 96 U P'(W) took 122, 148 and 157 us in the
-    same runs with U and W at their full 96 E bits, now runs at about half
-    the exact pass's time at |z| ~ 1 and |z| ~ 1e-100, and x^24 - 1/2
-    about as fast as it.
+    No row falls back.  The x^n - 1/2 rows are where W and U have far more
+    bits than the loop keeps (g E far above h): their one step at z'^g and
+    A'(z') = g U P'(W) multiply integers of about g E bits, so x^96 - 1/2
+    takes 70-80% of the exact pass's time and x^24 - 1/2 as long as the
+    exact pass or up to a sixth longer.  With W and U floored to h + 1
+    bits after the loop these rows took 72, 92 and 103 us and 19, 25 and
+    30 us in the same runs; the other rows read the same within the runs'
+    scatter.
 
     That Horner pass is made once per point: the pairs of the last 2n to
     4n new points are kept for the polynomial evaluated last, so a call at
@@ -212,7 +211,7 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     same bits.  z is looked up before it is checked (a kept point is
     finite), and converted first only if it is not a complex (the float
     2.0 finds the pair kept for 2 + 0j), so a repeat costs one or two
-    dictionary probes: about 0.15 us a call on the Xeon above, against
+    dictionary probes: about 0.15 us a call on a shared Xeon, against
     0.3-0.6 us with the conversion and check first.  A solve evaluates
     each iterate for its residual and again in the next sweep; the second
     call is such a repeat.  Evaluating another polynomial drops the kept
@@ -348,10 +347,10 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
     # interval does not round to one binary64 number.  A(x) = P(x^step),
     # ``ints`` and ``sizes`` holding P's coefficients a_step, a_(2 step),
     # ..., a_n, and A'(x) = step x^(step-1) P'(x^step): the pass runs on P
-    # at W = z'^step, formed exactly like U = z'^(step-1) (over 2^(step e)
-    # and 2^((step-1) e)), and multiplies P'(W) by step U at the end.  Until
-    # then A, n, z', e and a_k stand for P, its degree, W, step e and P's
-    # coefficients; with step 1 they are A's own.
+    # at W = z'^step, whose parts are, like those of U = z'^(step-1), exact
+    # integers (over 2^(step e) and 2^((step-1) e)), and multiplies P'(W) by
+    # step U at the end.  Until then A, n, z', e and a_k stand for P, its
+    # degree, W, step e and P's coefficients; with step 1 they are A's own.
     # Both loops keep their values as integers in units of 2^-g and floor
     # every product; coefficient bits below the loop's shift are floored
     # too.  With rho = max(1, |z'|) and s = n rho^(n-1), each carries a
@@ -360,12 +359,8 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
     # factor covers the rounding of |z'|: r below errs by about
     # (3 step + 1) 2^-53 <= step 2^-50 (hypot and the two conversions,
     # raised to the power step), and the rest of the factor covers the
-    # (n-1)th power and the products.  With a_0 = 1 and
-    # T = Sum |a_k| rho^(n-k) (``top``, at least rho^n), h bounds the width
-    # of the real loop's values (see there); what follows the loops takes
-    # z' and U floored by `_floored` to about h bits, so that its products
-    # multiply integers of about the loops' width, not of step e bits.
-    # Each part is then rounded on its own scale by `_rounded`.
+    # (n-1)th power and the products.  Each part is then rounded on its own
+    # scale by `_rounded`.
     r = ldexp(hypot(zr, zi), -e) ** step
     n = len(sizes)
     if step > 1:
@@ -381,60 +376,39 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
     if g < 0:
         g = 0
     s = n * rho ** (n - 1)
-    h = g + int((n + 1) ** 3 * (2 * n + 5) * top).bit_length() + 2
     if real:
         # The second-order recurrence of `_exact_real_pair` in units of
         # 2^-g: b1, b2 hold B_k = 2^g b_k, and c1, c2 C_k = 2^g c_k.  Its
         # response to a unit error m steps back is
-        # K_m = Sum_t z'^t conj(z')^(m-t), |K_m| <= (m+1) rho^m.  With the
-        # step errors below (|delta_k| < 2, |gamma_k| < 2), every |B_k|
+        # K_m = Sum_t z'^t conj(z')^(m-t), |K_m| <= (m+1) rho^m.  With a_0 = 1
+        # and T = Sum |a_k| rho^(n-k) (``top``, at least rho^n), and with
+        # the step errors below (|delta_k| < 2, |gamma_k| < 2), every |B_k|
         # and |C_k| is below 2^g (n+1)^3 (2n+5) T, so below 2^(h-1) - 1 (by
         # induction on the step; h keeps a bit for the rounding of T).
         # 2 Re z' and |z'|^2 (``twice_re``, ``norm``) are taken on 2^-k,
         # k = min(2e, h): exact where 2e <= h, else floored, so that each
-        # step multiplies h-bit integers and makes one floor per product
-        # sum; a product by a floored one drops less than
-        # |B_k| 2^-h < 1/2 unit.
-        # A B step's floors, those drops and the coefficient truncation add
+        # step multiplies h-bit integers; a product by a floored one drops
+        # less than |B_k| 2^-h < 1/2 unit.
+        # A B step floors one integer sum, which loses less than a unit
+        # with the coefficient's truncation; with those drops that adds
         # delta_k, |delta_k| < 2: the B values are exactly those of the
         # coefficients a_k + delta_k 2^-g.  A C step's add gamma_k,
-        # |gamma_k| < 2, to the quotient's coefficient b_k.
-        # After the loop z' is w / 2^p floored, p >= h + 1 where it floors
-        # (else w is exact), so a product of a part of w by a B or C value
-        # drops below 2^(h-1-p) <= 1/4 unit more, and Re Q = c_(n-2) -
-        # Re z' c_(n-3) and Im Q = Im z' c_(n-3) (``qr``, ``qi``) err by
-        # below 5/4.  So A errs by Sum delta_k z'^(n-k) (below 2s) plus a
-        # drop and the last floor: below 2s + 5/4 per part.  A' =
-        # b_(n-1) + 2 i Im z' Q errs by Sum delta_k (n-k) z'^(n-k-1) (below
-        # (n-1)s) plus 2 i Im z' Sum gamma_k z'^(n-2-k) (below
-        # 2 rho 2 (n-1) rho^(n-2) < 4s) plus what follows the loop.  In
-        # Re A' that is 2 |Im z'| 5/4 for Im Q, the drop of its product by
-        # w_i (below 2 |Im Q| 2^-p < |Im z'|/2 + 2^(1-h)) and the last
-        # floor; in Im A' it is 2 |Im z'| 5/4 for Re Q, the drop of its
-        # product (below (1 + |Re z'|)/2 + 2^(1-h) <= rho + 2^(1-h)) and
-        # the last floor.  With 2 |Im z'| <= 2 rho <= s for n >= 2 (for
-        # n = 1 there is no C value and no error after the loop), both
-        # parts of A' err by below (n + 4.75)s + 1 + 2^(1-h) <
-        # (n + 5)s + 1.  Re A and Re A' are kept on 2^-g.
-        # Im A = Im z' b_(n-1) and Im A' = 2 Im z' Re Q are formed as
-        # products by w_i, not floored, over 2^-(g+p); w_i keeps h + 1 bits
-        # or more (or all of Im z'), so they keep their bits where |Im z'|
-        # is far below the terms (as near a real root, or where z'^step
-        # nears the real axis).  Their second bound follows K_m: b_j errs by
-        # below Sum_m 2 (m+1) rho^m <= j(j+1) rho^(j-1), so b_(n-1) by below
-        # (n-1)s, and Re Q by below
-        # Sum_j (j(j+1) rho^(j-1) + 2) rho^(n-2-j) + 5/4 <= n^2 s + 5/4.
-        # With |Im z'| 2^p <= |w_i| + 1 and the floor of w_i erring by under
-        # a unit, Im A errs by below (|w_i| + 1)(n-1)s + |b_(n-1)| and Im A'
-        # by below 2 (|w_i| + 1)(n^2 s + 5/4) + 2 |Re Q| units of 2^-(g+p).
-        # Where w is floored a nonzero w_i is at least 2^h, while |b_(n-1)|,
-        # (n-1)s and n^2 s + 5/4 are below 2^(h-1) and |Re Q| below
-        # 2^(h-1) (2 + rho), so these are below |w_i| ((n-1)s + 1) and
-        # 2 |w_i| ((n^2 + 1/2)s + 11/4); where it is not, the floor's terms
-        # drop out; where w_i = 0 both parts are exactly 0.  Where that
-        # bound is the smaller they stay there; otherwise they are floored
-        # to 2^-g, with the first bound (that floor is one of the drops
-        # counted there).
+        # |gamma_k| < 2, to the quotient's coefficient b_k.  So A errs by
+        # Sum delta_k z'^(n-k) plus the last floor, below 2s + 1 per part,
+        # and A' by Sum delta_k (n-k) z'^(n-k-1) (below (n-1)s) plus
+        # 2 i Im z' Sum gamma_k z'^(n-2-k) (below 2 rho 2 (n-1) rho^(n-2)
+        # < 4s) plus the last floors (below 2|Im z'| + 1 <= s + 1 for
+        # n >= 2, and 0 for n = 1, where c_(n-3) = 0): below (n+4)s + 1.
+        # Re A and Re A' are kept on 2^-g.  Im A = Im z' b_(n-1) and
+        # Im A' = 2 Im z' Re Q are formed unfloored, over 2^-(g+e), so they
+        # keep their bits where |Im z'| is far below the terms (as near a
+        # real root, or where z'^step nears the real axis).  Their bounds
+        # follow K_m: b_j errs by below
+        # Sum_m 2 (m+1) rho^m <= j(j+1) rho^(j-1), so Im A by below
+        # |Im z'| (n-1)s, and Re Q by below
+        # Sum_j (j(j+1) rho^(j-1) + 2) rho^(n-2-j) + 1 <= n^2 s + 1.  At a
+        # real z' both are exactly 0.
+        h = g + int((n + 1) ** 3 * (2 * n + 5) * top).bit_length() + 2
         k = 2 * e if 2 * e < h else h
         twice_re = zr << k - e + 1 if k >= e else zr >> e - k - 1
         norm = zr * zr + zi * zi >> 2 * e - k
@@ -444,17 +418,11 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
         for c in cs:
             c1, c2 = ((twice_re * c1 - norm * c2) >> k) + b2, c1
             b1, b2 = (twice_re * b1 - norm * b2 + c) >> k, b1
-        wr, wi, p = _floored(zr, zi, e, h)
-        twice_wi = 2 * wi
-        qr, qi = c1 - (wr * c2 >> p), wi * c2 >> p
-        vr, dr = b1 - (wr * b2 >> p), b2 - (twice_wi * qi >> p)
-        bv, bd = int(2 * s) + 3, int((n + 5) * s) + 2
-        vi, bvi, kvi = wi * b2, abs(wi) * (int((n - 1) * s) + 2), g + p
-        if bvi >= bv << p:
-            vi, bvi, kvi = vi >> p, bv, g
-        di, bdi, kdi = twice_wi * qr, abs(twice_wi) * (int((n * n + 0.5) * s) + 4), g + p
-        if bdi >= bd << p:
-            di, bdi, kdi = di >> p, bd, g
+        qr, qi = c1 - (zr * c2 >> e), zi * c2 >> e
+        vr, dr = b1 - (zr * b2 >> e), b2 - (2 * zi * qi >> e)
+        bv, bd = int(2 * s) + 2, int((n + 4) * s) + 2
+        vi, bvi, kvi = zi * b2, abs(zi) * (int((n - 1) * s) + 1), g + e
+        di, bdi, kdi = 2 * zi * qr, 2 * abs(zi) * (int(n * n * s) + 2), g + e
     else:
         # Horner over Gaussian integers: each step's floors add an error
         # below 2 per part (one for the product, one for a truncated
@@ -472,22 +440,14 @@ def _fixed_grid_pair(f, ints, real, sizes, e, zr, zi, step):
         kvi = kdi = g
     kd = g
     if step > 1:
-        # A'(z') = step U P'(W), U = u / 2^p floored by `_floored`: a part
-        # of u errs by under one unit where it floors (p < (step-1) e) and
-        # the part is not 0, else not at all.  With d_r (over 2^-g) and d_i
-        # (over 2^-kdi) the parts of P'(W), and b, b' their bounds,
-        # |P'_r| 2^g <= |d_r| + b, so U_r P'_r errs by at most |u_r| b,
-        # plus b + |d_r| where u_r errs; the other three products alike.
-        # The parts are formed over 2^-(kdi+p).
-        ur, ui, p = _floored(ur, ui, ue, h)
+        # A'(z') = step U P'(W), formed exactly over 2^-(kdi+ue): each of
+        # its parts errs by at most step (|U_r| b + |U_i| b'), b and b' the
+        # bounds of the parts of P'(W) that it multiplies
         t = kdi - g
-        xr, xi = (bd + abs(dr), bdi + abs(di)) if p < ue else (0, 0)
-        aur, aui = abs(ur), abs(ui)
-        dr, di, bd, bdi = (
-            step * ((ur * dr << t) - ui * di), step * (ur * di + (ui * dr << t)),
-            step * ((aur * bd + (ur and xr) << t) + aui * bdi + (ui and xi)),
-            step * (aur * bdi + (ur and xi) + (aui * bd + (ui and xr) << t)))
-        kd = kdi = kdi + p
+        dr, di = step * ((ur * dr << t) - ui * di), step * (ur * di + (ui * dr << t))
+        bd, bdi = (step * ((abs(ur) * bd << t) + abs(ui) * bdi),
+                   step * (abs(ur) * bdi + (abs(ui) * bd << t)))
+        kd = kdi = kdi + ue
     parts = [_rounded(vr, bv, g), _rounded(vi, bvi, kvi),
              _rounded(dr, bd, kd), _rounded(di, bdi, kdi)]
     if None in parts:
@@ -516,19 +476,6 @@ def _rounded(v, b, k):
     scale = 1 << k
     low = (v - b) / scale
     return low if _bits(low) == _bits((v + b) / scale) else None
-
-
-def _floored(xr, xi, e, h):
-    # (xr + i xi) / 2^e as (wr + i wi) / 2^p, each part floored to 2^-p:
-    # to 2^-(h+1), or finer where that keeps h + 1 bits of the smaller
-    # nonzero part (so a part far below the other keeps its bits); p = e
-    # where that floors nothing.
-    lr, li = xr.bit_length(), xi.bit_length()
-    small = li if 0 < li < lr or not lr else lr
-    shift = (small if small < e else e) - h - 1
-    if shift <= 0:
-        return xr, xi, e
-    return xr >> shift, xi >> shift, e - shift
 
 
 def _gaussian_power(xr, xi, k):

@@ -10,7 +10,7 @@ contraction base ``q``, it decides whether the fourth-order error bound
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 import sys
 from typing import Optional, Sequence
 
@@ -99,11 +99,11 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
             "the guarantee needs at least two distinct roots (d is a "
             "minimum over pairs)"
         )
-    if not c > 0.0:
+    if not _holds(lambda: c > 0.0):
         raise ValueError("c must be positive")
-    if not math.isfinite(q):
+    if not _holds(lambda: math.isfinite(q)):
         raise ValueError("q must be finite")
-    if not q > 0.0:
+    if not _holds(lambda: q > 0.0):
         raise ValueError("q must be positive")
 
     d = separation(rs)
@@ -135,6 +135,15 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
                               reason is None, reason)
 
 
+def _holds(test) -> bool:
+    """test(), or False where it raises TypeError: a str, None or complex
+    is no number here (none of them compares with a float)."""
+    try:
+        return test()
+    except TypeError:
+        return False
+
+
 def _power_minus_one(base: float, exponent: int) -> float:
     """base**exponent - 1 for base >= 1, or +inf where the power overflows."""
     try:
@@ -147,14 +156,15 @@ def error_bound(c: float, q: float, k: int) -> float:
     """A-priori error bound c * q**(4**k) after k iterations.
 
     Underflows cleanly to 0 for large k, which is the correct limit.
-    ValueError is raised for a ``k`` that is a bool, not an integer (such
-    as 2.5 or 2.0) or negative.
+    ValueError is raised unless c > 0 and 0 < q < 1 (a str or None is no
+    number), and for a ``k`` that is a bool, not an integer (such as 2.5
+    or 2.0) or negative.
     """
-    if not c > 0.0:
+    if not _holds(lambda: c > 0.0):
         raise ValueError("c must be positive")
-    if not 0.0 < q < 1.0:
+    if not _holds(lambda: 0.0 < q < 1.0):
         raise ValueError("q must lie in (0, 1)")
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+    if isinstance(k, bool) or not _holds(lambda: operator.index(k) >= 0):
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     try:
         exponent = 4.0 ** int(k)  # a float power raises rather than give inf

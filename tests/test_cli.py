@@ -258,6 +258,16 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("input: bad config: ")
 
+    @pytest.mark.parametrize("value, shown", [('"1e-3"', "'1e-3'"), ("null", "None")])
+    def test_non_number_tolerance_exits_one(self, capsys, monkeypatch, value, shown):
+        doc = {k: v for k, v in DEMO_PROBLEM.items() if k != "config"}
+        text = json.dumps(doc)[:-1] + ', "config": {"step_tolerance": ' + value + "}}"
+        code, out, err = run_main(capsys, ["solve"], text, monkeypatch)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == ("input: bad config: step_tolerance must be a finite number > 0, "
+                       f"got {shown}\n")
+
     @pytest.mark.parametrize("command", ["solve", "order", "check-theorem"])
     def test_deeply_nested_document_exits_one(self, capsys, monkeypatch, command):
         argv = [command] + (["--c", "0.1", "--q", "0.5"]

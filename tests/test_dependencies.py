@@ -31,5 +31,6 @@ def test_import_path_skips_unused_machinery():
     # Every CLI process pays for what the package imports.  None of these
     # is needed to build the value classes or to run a command;
     # `estimate_order` imports `statistics` when it is called.
-    heavy = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+    heavy = ("dataclasses", "inspect", "statistics", "fractions", "decimal",
+             "numbers")
     assert loaded_after_import(f"m in {heavy!r}") == "[]"

@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -401,10 +402,25 @@ class TestSolveConfig:
         {"residual_tolerance": 10 ** 400},
         {"step_tolerance": True},
         {"residual_tolerance": True},
+        # values that do not compare with a float are no tolerance either
+        {"step_tolerance": "1e-3"},
+        {"step_tolerance": None},
+        {"step_tolerance": 1j},
+        {"residual_tolerance": "1e-3"},
+        {"residual_tolerance": [1e-3]},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolveConfig(**kwargs)
+
+    def test_non_number_tolerance_message(self):
+        with pytest.raises(ValueError) as info:
+            SolveConfig(step_tolerance="1e-3")
+        assert str(info.value) == "step_tolerance must be a finite number > 0, got '1e-3'"
+
+    @pytest.mark.parametrize("value", [Decimal("1e-3"), Fraction(1, 1000), 1])
+    def test_decimal_fraction_and_int_tolerances_accepted(self, value):
+        assert SolveConfig(step_tolerance=value).step_tolerance == value
 
 
 class TestGekStep:

@@ -984,17 +984,21 @@ class TestLacunary:
         # A' = 2 U P'(W) decides as well
         assert_substituted_passes_decide(lacunary(96, 2, 2, real=real), 2, real)
 
-    @pytest.mark.parametrize("z", [
-        complex(0.6, 0.8), complex(0.6e-100, -0.8e-100), complex(5e-324, -3e-320)])
-    def test_every_point_takes_step_g(self, z):
-        # x^96 - 1/2 has g = 96: at |z| ~ 1, at |z| ~ 1e-100 and at
-        # subnormal z, where z^96 has about 96 E bits per part (E = 53,
-        # 386 and 1074), the pass runs one step at z^96
-        poly = MonicPolynomial([0] * 95 + [-0.5])
+    @pytest.mark.parametrize("g, a, z", [
+        pytest.param(g, a, z, id=f"{name}{z}")
+        for name, g, a in (("", 96, 0.5), ("x24-half-", 24, 0.5),
+                           ("x96-complex-", 96, 0.3 + 0.4j))
+        for z in (complex(0.6, 0.8), complex(0.6e-100, -0.8e-100), complex(5e-324, -3e-320))])
+    def test_every_point_takes_step_g(self, g, a, z):
+        # x^g - a: at |z| ~ 1, at |z| ~ 1e-100 and at subnormal z, where z^g
+        # has about g E bits per part (E = 53, 386 and 1074), the pass runs
+        # one step at z^g and decides, with W and U at all their bits; a
+        # complex a takes the complex loop
+        poly = MonicPolynomial([0] * (g - 1) + [-a])
         reset_memo()
-        with counted_passes("_fixed_grid_pair") as passes:
+        with counted_passes(*EXACT_PASSES, "_fixed_grid_pair") as passes:
             got = outcome(eval_with_derivative, poly, z)
-        assert [args[-1] for _, args in passes] == [96]
+        assert [(name, args[-1]) for name, args in passes] == [("_fixed_grid_pair", g)]
         assert got == exact_pass(poly, z) == outcome(oracle_eval, poly, z)
 
 

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "pool_ledger.py"
 
 #: The ledgers of the first 7 problems of the seed-1501 ring pools (15
-#: solves for `wide_quadratic`), the pools whose digests
+#: solves for `wide_quadratic`), pools whose whole digests
 #: `tests/test_trace_digest.py` pins: every count of a path taken by the
 #: Horner passes, fall-backs and their causes included, and of the paths
 #: taken by the collision screen and the deflation rows.
@@ -71,6 +71,21 @@ def test_ring_pool_ledger(workload):
     proc = run_tool("--workload", workload, "--seed", "1501", "--count", "7")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == RING_1501_7[workload]
+
+
+#: The fixed-grid passes of the whole seed-1501 ring pools: those that
+#: decide and those that fall back to the exact pass.
+RING_1501_FIXED_GRID = {"wide_total": (8439, 99), "wide_quadratic": (699, 43)}
+
+
+@pytest.mark.parametrize("workload", sorted(RING_1501_FIXED_GRID))
+def test_whole_ring_pool_fixed_grid_passes(workload):
+    proc = run_tool("--workload", workload, "--seed", "1501")
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    decided, fell_back = RING_1501_FIXED_GRID[workload]
+    assert counts["fixed-grid passes decided"] == str(decided)
+    assert counts["fixed-grid passes fell back"] == str(fell_back)
 
 
 def test_small_pool_counts_add_up():

@@ -100,6 +100,21 @@ class TestTheoremCheck:
         with pytest.raises(ValueError, match="q must be positive"):
             theorem_check(demo_system, 0.01, q)
 
+    @pytest.mark.parametrize("c", ["0.1", None, 1j])
+    def test_non_number_c_rejected(self, demo_system, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            theorem_check(demo_system, c, 0.5)
+
+    @pytest.mark.parametrize("q", ["0.5", None, 1j])
+    def test_non_number_q_rejected(self, demo_system, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            theorem_check(demo_system, 0.01, q)
+
+    def test_fraction_and_int_c_q_accepted(self, demo_system):
+        expected = theorem_check(demo_system, 0.25, 0.5)
+        assert theorem_check(demo_system, Fraction(1, 4), Fraction(1, 2)).lhs == expected.lhs
+        assert theorem_check(demo_system, 0.25, 1).reason == "q = 1 is not below 1"
+
     def test_lhs_monotone_in_c(self, demo_system):
         # strictly increasing on (0, d/2); sampled on a 100-point grid
         d = 2.0
@@ -136,7 +151,21 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(1.0, 0.5, -1)
 
-    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None])
+    @pytest.mark.parametrize("c, q, message", [
+        ("0.1", 0.5, "c must be positive"), (None, 0.5, "c must be positive"),
+        (0.1, "0.1", r"q must lie in \(0, 1\)"), (0.1, None, r"q must lie in \(0, 1\)"),
+        (0.1, 0.5j, r"q must lie in \(0, 1\)"),
+    ])
+    def test_non_number_c_q_rejected(self, c, q, message):
+        with pytest.raises(ValueError, match=message):
+            error_bound(c, q, 1)
+
+    def test_fraction_and_int_c_q_accepted(self):
+        assert error_bound(Fraction(1), Fraction(1, 2), 1) == 0.0625
+        assert error_bound(1, 0.5, 1) == 0.0625
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2", None, -1,
+                                   Fraction(2), np.float64(2.0)])
     def test_non_integer_k_rejected(self, k):
         # 2.5 used to give the bound for k = 2, and True the one for k = 1
         with pytest.raises(ValueError, match="k must be a nonnegative integer"):
@@ -144,6 +173,8 @@ class TestErrorBound:
 
     def test_integer_like_k_accepted(self):
         assert error_bound(1.0, 0.5, np.int64(1)) == error_bound(1.0, 0.5, 1)
+        assert error_bound(1.0, 0.5, np.uint8(1)) == error_bound(1.0, 0.5, 1)
+        assert error_bound(1.0, 0.5, 10 ** 400) == 0.0
 
 
 class TestEstimateOrder:

@@ -11,18 +11,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "trace_digest.py"
 
-#: The digest of the first 20 problems of the seed-1501 `small` pool (the
+#: The digest of the whole seed-1501 `small` pool, 2,000 problems (the
 #: demo first).  It pins every status, iteration count and trace bit.
-SMALL_1501_20 = "50f55e8f1239f99d2008e5168eea65f00c1e8853f2a39ef03a1251cea731ffd0"
+SMALL_1501 = "9c9c58b1b8a1b57b55564e068474ea9c804fc19eb5d3a7c9a1316bc296dd44ac"
 
 
-#: The digests of the first 7 problems of the seed-1501 ring pools (15
-#: solves for `wide_quadratic`), polynomials in x^g with g from 4 to 13 and
-#: degree up to 78: they pin the fixed-grid pass at z^g' (803 passes) and
-#: its fall-backs to the exact pass (15).
-RING_1501_7 = {
-    "wide_total": "64260758795287969b8d53d0c438568e07858c1156ff9b69e6567a235fabe25d",
-    "wide_quadratic": "5c9b7826dc78ff9237b97df3af1b889064483fc48be3e63e9ae10249389a6f48",
+#: The digests and sizes of the whole seed-1501 ring pools (124 solves for
+#: `wide_quadratic`), polynomials in x^g with g from 4 to 13 and degree up
+#: to 78: they pin the fixed-grid pass at z^g (8,538 and 742 passes) and
+#: its fall-backs to the exact pass (99 and 43).
+RING_1501 = {
+    "wide_total": ("1ba05837f6ddfd170768e76934e8a322aa4b789d7d0486c2d5e03372bf0d05a9", 84),
+    "wide_quadratic": ("766cadd6a67cba2e4e69652289fec9c684efe4728f87c6c911b1c9503db72d9e", 60),
 }
 
 
@@ -35,23 +35,24 @@ def run_tool(*args):
 
 
 def test_small_pool_digest():
-    proc = run_tool("--workload", "small", "--seed", "1501", "--count", "20")
+    proc = run_tool("--workload", "small", "--seed", "1501")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{SMALL_1501_20}  small seed 1501 count 20\n"
+    assert proc.stdout == f"{SMALL_1501}  small seed 1501 count 2000\n"
 
 
-@pytest.mark.parametrize("workload", sorted(RING_1501_7))
+@pytest.mark.parametrize("workload", sorted(RING_1501))
 def test_ring_pool_digest(workload):
-    proc = run_tool("--workload", workload, "--seed", "1501", "--count", "7")
+    proc = run_tool("--workload", workload, "--seed", "1501")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{RING_1501_7[workload]}  {workload} seed 1501 count 7\n"
+    digest, count = RING_1501[workload]
+    assert proc.stdout == f"{digest}  {workload} seed 1501 count {count}\n"
 
 
 def test_another_seed_gives_another_digest():
-    proc = run_tool("--workload", "small", "--seed", "1502", "--count", "20")
+    proc = run_tool("--workload", "small", "--seed", "1502")
     assert proc.returncode == 0, proc.stderr
     digest = proc.stdout.split()[0]
-    assert re.fullmatch("[0-9a-f]{64}", digest) and digest != SMALL_1501_20
+    assert re.fullmatch("[0-9a-f]{64}", digest) and digest != SMALL_1501
 
 
 def test_imports_only_the_standard_library_and_the_benchmark():
