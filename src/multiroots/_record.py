@@ -4,10 +4,11 @@
 class Record:
     """An immutable value with equality, hashing and repr over its fields.
 
-    A subclass's ``__init__`` validates its arguments and stores each field
-    with `set_field`, in the order of its parameters, so ``vars(self)``
-    lists the fields in that order.  Instances keep a ``__dict__``, so
-    pickling and copying need no code of their own.
+    A subclass annotates its fields in the order of its ``__init__``
+    parameters; ``__init__`` validates its arguments and stores them with
+    `set_fields`, so ``vars(self)`` lists the fields in that order.
+    Instances keep a ``__dict__``, so pickling and copying need no code of
+    their own.
     """
 
     def __setattr__(self, name, value):
@@ -29,5 +30,19 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-#: Stores one field from a record's ``__init__``, past `Record.__setattr__`.
-set_field = object.__setattr__
+_store = object.__setattr__
+
+
+def set_fields(record, *values) -> None:
+    """Store ``values`` as ``record``'s fields, past `Record.__setattr__`:
+    the first under the class's first annotation, and so on.  ValueError
+    is raised unless there is one value per annotation.
+
+    Each field goes through ``object.__setattr__``, which keeps CPython's
+    inline attribute values.  ``vars(record).update`` would move them into
+    a dict, and every later read of a field (a polynomial's coefficients on
+    each evaluation) would slow down: reading three fields took 196 ns
+    against 127 ns (timeit, CPython 3.11.7).
+    """
+    for name, value in zip(record.__class__.__annotations__, values, strict=True):
+        _store(record, name, value)

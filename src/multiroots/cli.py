@@ -30,7 +30,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from ._record import Record, set_field
+from ._record import Record, set_fields
 from .errors import DegenerateSystemError, InsufficientDataError, MultirootsError
 from .iteration import (
     SolveConfig,
@@ -100,11 +100,7 @@ class ProblemSpec(Record):
         config: SolveConfig,
         roots: Optional[tuple[complex, ...]] = None,
     ) -> None:
-        set_field(self, "poly", poly)
-        set_field(self, "multiplicities", multiplicities)
-        set_field(self, "initial", initial)
-        set_field(self, "config", config)
-        set_field(self, "roots", roots)
+        set_fields(self, poly, multiplicities, initial, config, roots)
 
 
 def _is_number(obj) -> bool:

@@ -15,7 +15,7 @@ from itertools import chain
 from math import isfinite
 from typing import Optional, Sequence
 
-from ._record import Record, set_field
+from ._record import Record, set_fields
 from .errors import (
     CollisionError,
     NonFiniteError,
@@ -24,11 +24,13 @@ from .errors import (
 )
 from .polynomial import (
     MonicPolynomial,
+    _as_complexes,
+    _as_float,
     eval_with_derivative,
     integer_power,
     require_finite,
 )
-from .rootsystem import _as_multiplicity, _collision_limit, _first_collision
+from .rootsystem import _as_multiplicities, _collision_limit, _first_collision
 
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_STEP_TOLERANCE = 1e-14
@@ -83,8 +85,10 @@ class SolveConfig(Record):
 
     ValueError is raised for a ``max_iterations`` that is not an int
     (bools, floats such as 3.0) or is below 1; for a tolerance that is a
-    bool, not above 0, or not a finite binary64 number (inf, nan,
-    10**400); and for an ``update_mode`` that is not an `UpdateMode`.
+    bool, not above 0, not a finite binary64 number (inf, nan, 10**400)
+    or no number (a str, None, a complex, a Decimal NaN); and for an
+    ``update_mode`` that is not an `UpdateMode`.  A tolerance is stored
+    as given (a Decimal stays a Decimal).
 
     Collisions follow one fixed rule, not a setting: two approximations
     within ``1e-12 * max(1, max|x_i|)`` of each other are one point in
@@ -111,25 +115,22 @@ class SolveConfig(Record):
             raise ValueError("max_iterations must be >= 1")
         for name, value in (("step_tolerance", step_tolerance),
                             ("residual_tolerance", residual_tolerance)):
-            if isinstance(value, bool) or not _is_positive_binary64(value):
+            if isinstance(value, bool) or not 0.0 < _as_float(value) < math.inf:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if not isinstance(update_mode, UpdateMode):
             raise ValueError(f"update_mode must be an UpdateMode, got {update_mode!r}")
-        set_field(self, "max_iterations", max_iterations)
-        set_field(self, "step_tolerance", step_tolerance)
-        set_field(self, "residual_tolerance", residual_tolerance)
-        set_field(self, "update_mode", update_mode)
+        set_fields(self, max_iterations, step_tolerance, residual_tolerance,
+                   update_mode)
 
 
-def _is_positive_binary64(value) -> bool:
-    # 0 < 10**400 < inf holds for the int, yet no binary64 number is that
-    # large: float() raises OverflowError for it, and rounds a Decimal or
-    # Fraction beyond the range to inf or 0.0.  A value that does not
-    # compare with a float (a str, None, a complex) is no number either.
-    try:
-        return 0.0 < value < math.inf and 0.0 < float(value) < math.inf
-    except (OverflowError, TypeError):
-        return False
+def _config(config) -> SolveConfig:
+    # The one config rule of the public steps and `solve`: None means the
+    # defaults, and anything else must be a SolveConfig.
+    if config is None:
+        return SolveConfig()
+    if not isinstance(config, SolveConfig):
+        raise ValueError(f"config must be a SolveConfig, got {config!r}")
+    return config
 
 
 class SolveStatus(enum.Enum):
@@ -161,11 +162,7 @@ class TraceRecord(Record):
         steps: Optional[tuple[float, ...]],
         frozen: tuple[bool, ...],
     ) -> None:
-        set_field(self, "k", k)
-        set_field(self, "values", values)
-        set_field(self, "residuals", residuals)
-        set_field(self, "steps", steps)
-        set_field(self, "frozen", frozen)
+        set_fields(self, k, values, residuals, steps, frozen)
 
 
 class SolveReport(Record):
@@ -184,10 +181,7 @@ class SolveReport(Record):
         iterations_used: int,
         trace: tuple[TraceRecord, ...],
     ) -> None:
-        set_field(self, "status", status)
-        set_field(self, "final", final)
-        set_field(self, "iterations_used", iterations_used)
-        set_field(self, "trace", trace)
+        set_fields(self, status, final, iterations_used, trace)
 
     @property
     def converged(self) -> bool:
@@ -195,10 +189,11 @@ class SolveReport(Record):
 
 
 def _as_vector(values: Sequence[complex]) -> tuple[complex, ...]:
-    vec = tuple(complex(v) for v in values)
-    for v in vec:
-        require_finite(v, "approximation")
-    return vec
+    return _as_complexes(values, _not_finite)
+
+
+def _not_finite(k, v):
+    return NonFiniteError(f"approximation is not finite: {v!r}")
 
 
 def _check_collisions(values, frozen=None):
@@ -230,10 +225,12 @@ def q_log_derivative(
     the powers (x_index - x_j)**alpha_j are formed too, and NonFiniteError
     is raised where one of them overflows binary64 (both steps raise there
     as well).  ValueError is raised for an ``index`` outside
-    ``range(len(values))`` (such as -1 or 1.5) and for one multiplicity too
-    many or too few; the same holds for `q_product` and `s_value`.
+    ``range(len(values))`` (such as -1 or 1.5), for one multiplicity too
+    many or too few and for a multiplicity that `solve` rejects (a bool, a
+    non-integer, a value below 1); the same holds for `q_product` and
+    `s_value`, which also requires the multiplicities to sum to the degree.
     """
-    return _deflation(values, multiplicities, index)[0]
+    return _deflation(*_checked_index(values, multiplicities, index), index)[0]
 
 
 def q_product(
@@ -245,37 +242,33 @@ def q_product(
 
     The empty product (single approximation) is 1.
     """
-    prod = _deflation(values, multiplicities, index)[1]
+    prod = _deflation(*_checked_index(values, multiplicities, index), index)[1]
     return require_finite(prod, "deflating product")
 
 
-def _deflation(values, multiplicities, index):
+def _deflation(vec, mults, index):
     # The deflation sum and product at one index, from its row of pair terms.
     # Only pairs that involve ``index`` are checked: every other index is
     # taken as frozen.
-    vec = _checked_index(values, multiplicities, index)
     _check_collisions(vec, [j != index for j in range(len(vec))])
-    return _row_sums(vec, multiplicities, index)
+    return _row_sums(vec, mults, index)
 
 
 def _checked_index(values, multiplicities, index):
-    # ``values`` as a vector, once ``index`` and the multiplicities fit it.
+    # ``values`` as a vector and the multiplicities as ints, once they and
+    # ``index`` fit the vector.
     vec = _as_vector(values)
-    _require_count(len(vec), len(multiplicities), "multiplicities")
+    mults = _as_multiplicities(multiplicities, len(vec), "approximations")
     if index not in range(len(vec)):  # False for -1 and for 1.5
         raise ValueError(f"index {index!r} out of range for {len(vec)} approximations")
-    return vec
-
-
-def _require_count(m, count, name):
-    if count != m:
-        raise ValueError(f"{m} approximations but {count} {name}")
+    return vec, mults
 
 
 def _frozen_flags(frozen, m):
     # The frozen flags of ``m`` approximations; None freezes none.
     flags = (False,) * m if frozen is None else tuple(bool(f) for f in frozen)
-    _require_count(m, len(flags), "frozen flags")
+    if len(flags) != m:
+        raise ValueError(f"{m} approximations but {len(flags)} frozen flags")
     return flags
 
 
@@ -293,11 +286,12 @@ def s_value(
     `q_log_derivative`, with its errors, collisions under the fixed rule
     among them.
     """
-    vec = _checked_index(values, multiplicities, index)
+    vec, mults = _checked_index(values, multiplicities, index)
+    _validate_problem(poly, mults, len(vec))
     value, deriv = eval_with_derivative(poly, vec[index])
     if abs(value) <= DEFAULT_RESIDUAL_TOLERANCE:
         raise ResidualZeroError(index, abs(value))
-    return deriv / value - q_log_derivative(vec, multiplicities, index)
+    return deriv / value - _deflation(vec, mults, index)[0]
 
 
 def build_step_workspace(
@@ -323,7 +317,7 @@ def build_step_workspace(
     without an s-value adds its analytic limit 0 there.  The work of a
     build is described under `UpdateMode`.
     """
-    cfg = config or SolveConfig()
+    cfg = _config(config)
     vec = _as_vector(values)
     m = len(vec)
     flags = _frozen_flags(frozen, m)
@@ -414,8 +408,8 @@ def _deflate(poly, vec, multiplicities, flags, evals, rows, moved=None):
     prod_{l != j} (x_j - x_l)**alpha_l.
 
     Every build first checks the pairs for collisions (`_check_collisions`:
-    a screen by real part in front of the full scan, pairs of two frozen
-    indices skipped, by the screen too).  The pair terms of (j, l) are alpha_l / (x_j - x_l)
+    a screen by real part in front of the full scan, which skips pairs of
+    two frozen indices).  The pair terms of (j, l) are alpha_l / (x_j - x_l)
     and (x_j - x_l)**alpha_l: one complex ``**`` where alpha_l > 1, none
     for a simple root (the simple-root step runs here with every
     multiplicity 1).  Complex ``**`` with an exponent up to 100 has the
@@ -577,7 +571,8 @@ def gek_step(
     multiplicities : sequence of int
         Known multiplicity of each root.
     config : SolveConfig, optional
-        Supplies tolerances and the update mode; defaults apply when None.
+        Supplies tolerances and the update mode; defaults apply when None,
+        and anything else that is not a SolveConfig raises ValueError.
     frozen : sequence of bool, optional
         Components to exclude from updating, one flag per approximation;
         defaults to all active.
@@ -593,24 +588,24 @@ def gek_step(
     ResidualZeroError
         Guard failures; `solve` maps these to report statuses.
     ValueError
-        For multiplicities or frozen flags that do not fit the problem.
+        For multiplicities or frozen flags that do not fit the problem, and
+        for a value that is a str or beyond binary64's range.
     """
-    cfg = config or SolveConfig()
+    cfg = _config(config)
     vec = _as_vector(values)
     m = len(vec)
-    _validate_problem(poly, multiplicities, m)
+    mults = _validate_problem(poly, multiplicities, m)
     flags = _frozen_flags(frozen, m)
 
     def prepare(current, evals, rows, moved):
-        return _gek_terms(poly, current, multiplicities, flags, cfg,
-                          evals, rows, moved)
+        return _gek_terms(poly, current, mults, flags, cfg, evals, rows, moved)
 
     def update(current, prepared, i):
-        return _gek_update(current, multiplicities, prepared, i)
+        return _gek_update(current, mults, prepared, i)
 
     if cfg.update_mode is UpdateMode.SERIAL:
         return _serial_sweep(vec, flags, prepare, update)
-    prepared = build_step_workspace(poly, vec, multiplicities, flags, cfg)
+    prepared = build_step_workspace(poly, vec, mults, flags, cfg)
     return tuple(vec[i] if flags[i] else update(vec, prepared, i) for i in range(m))
 
 
@@ -642,7 +637,7 @@ def ek_step(
     neighbour sum, sum_{j != i} A_j / (w_j (x_j - x_i)**2).  The
     evaluations and the work of a sweep are described under `UpdateMode`.
     """
-    cfg = config or SolveConfig()
+    cfg = _config(config)
     vec = _as_vector(values)
     m = len(vec)
     if m != poly.degree:
@@ -666,15 +661,15 @@ def ek_step(
 
 
 def _validate_problem(poly, multiplicities, m):
-    _require_count(m, len(multiplicities), "multiplicities")
-    for a in multiplicities:
-        if _as_multiplicity(a) < 1:
-            raise ValueError(f"multiplicities must be positive integers, got {a!r}")
-    if sum(multiplicities) != poly.degree:
+    # The multiplicities of ``m`` approximations as ints, once they sum to
+    # the degree.
+    mults = _as_multiplicities(multiplicities, m, "approximations")
+    if sum(mults) != poly.degree:
         raise ValueError(
-            f"multiplicities sum to {sum(multiplicities)} but the polynomial "
+            f"multiplicities sum to {sum(mults)} but the polynomial "
             f"degree is {poly.degree}"
         )
+    return mults
 
 
 def _residual_magnitude(poly, z):
@@ -721,6 +716,7 @@ def solve(
         Starting approximations, one per distinct root (caller-supplied;
         no automatic initialization is attempted).
     config : SolveConfig, optional
+        Defaults apply when None, as in `gek_step`.
     use_simple_step : bool
         Use the simple-root formula instead of the generalized one;
         requires every multiplicity to be 1.  The default generalized
@@ -733,11 +729,10 @@ def solve(
         Numerical guard failures are reported as statuses; only input
         validation raises.
     """
-    cfg = config or SolveConfig()
+    cfg = _config(config)
     vec = _as_vector(initial)
     m = len(vec)
-    _validate_problem(poly, multiplicities, m)
-    mults = tuple(int(a) for a in multiplicities)
+    mults = _validate_problem(poly, multiplicities, m)
     if use_simple_step and any(a != 1 for a in mults):
         raise ValueError("use_simple_step requires all multiplicities equal to 1")
 

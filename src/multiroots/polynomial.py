@@ -6,7 +6,7 @@ import math
 from math import frexp, hypot, ldexp
 from struct import Struct
 
-from ._record import Record, set_field
+from ._record import Record, set_fields
 from .errors import NonFiniteError
 
 #: `eval_with_derivative` rounds each part of z to a multiple of
@@ -63,6 +63,48 @@ def require_finite(z: complex, what: str) -> complex:
     return z
 
 
+def _as_float(value) -> float:
+    """A real parameter as a float, or nan where it is no real number.
+
+    float() also parses text (a str, bytes, any buffer), so only a value
+    whose type converts itself (``__float__`` or ``__index__``: an int, a
+    Fraction, a Decimal, a numpy scalar) is converted.  A complex, None, a
+    Decimal sNaN and an int beyond binary64 give nan too, so every
+    comparison with the result is False.
+    """
+    kind = type(value)
+    if hasattr(kind, "__float__") or hasattr(kind, "__index__"):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return math.nan
+
+
+def _as_complex(value) -> complex:
+    """``value`` as a complex; ValueError for a str (no number, although
+    complex() parses it) and for an int beyond binary64."""
+    if isinstance(value, str):
+        raise ValueError(f"a str is no number: {value!r}")
+    try:
+        return complex(value)
+    except OverflowError:
+        raise ValueError(f"{type(value).__name__} beyond binary64's range") from None
+
+
+def _as_complexes(values, fault) -> tuple[complex, ...]:
+    """``values`` as a tuple of `_as_complex` numbers, raising
+    ``fault(k, z)`` for the first z, at index k, that is not finite."""
+    vec = tuple(values)
+    if set(map(type, vec)) != {complex}:  # no conversion where all are complex
+        vec = tuple(map(_as_complex, vec))
+    if not is_finite(sum(vec, 0j)):  # an inf or a nan part survives the sum
+        for k, z in enumerate(vec):
+            if not is_finite(z):
+                raise fault(k, z)
+    return vec
+
+
 def dyadic_integers(parts) -> tuple[int, list[int]]:
     """The least e >= 0 such that 2^e p is an integer for every float p in
     ``parts``, and those integers."""
@@ -82,13 +124,11 @@ class MonicPolynomial(Record):
     low_coefficients: tuple[complex, ...]
 
     def __init__(self, low_coefficients: tuple[complex, ...]) -> None:
-        coeffs = tuple(complex(c) for c in low_coefficients)
+        coeffs = _as_complexes(low_coefficients, lambda k, c: ValueError(
+            f"coefficient a_{k + 1} is not finite: {c!r}"))
         if len(coeffs) < 1:
             raise ValueError("a monic polynomial needs degree >= 1")
-        for k, c in enumerate(coeffs, start=1):
-            if not is_finite(c):
-                raise ValueError(f"coefficient a_{k} is not finite: {c!r}")
-        set_field(self, "low_coefficients", coeffs)
+        set_fields(self, coeffs)
 
     @property
     def degree(self) -> int:
@@ -232,9 +272,11 @@ def eval_with_derivative(poly: MonicPolynomial, z: complex) -> tuple[complex, co
     ------
     NonFiniteError
         If z is not finite or a result part overflows binary64.
+    ValueError
+        If z is a str, or a number beyond binary64's range (10**400).
     """
     global _last_scaled
-    zc = z if type(z) is complex else complex(z)
+    zc = z if type(z) is complex else _as_complex(z)
     scaled = _last_scaled
     if scaled[0] is poly:  # a kept point is finite, so a hit needs no check
         pair = scaled[5].get(zc) or scaled[6].get(zc)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import operator
 
-from ._record import Record, set_field
+from ._record import Record, set_fields
 from .errors import DegenerateSystemError
-from .polynomial import MonicPolynomial, dyadic_integers, is_finite
+from .polynomial import MonicPolynomial, _as_complexes, dyadic_integers
 
 #: The one collision rule: two points closer than this, relative to
 #: ``max(1, max|x_i|)``, are one point in binary64, where (x_i - x_j)^-2
@@ -31,20 +31,11 @@ class RootSystem(Record):
 
     def __init__(self, roots: tuple[complex, ...],
                  multiplicities: tuple[int, ...]) -> None:
-        roots = tuple(complex(r) for r in roots)
-        mults = tuple(_as_multiplicity(a) for a in multiplicities)
+        roots = _as_complexes(roots, lambda k, r: ValueError(
+            f"root is not finite: {r!r}"))
         if len(roots) < 1:
             raise ValueError("a root system needs at least one root")
-        if len(roots) != len(mults):
-            raise ValueError(
-                f"{len(roots)} roots but {len(mults)} multiplicities"
-            )
-        for r in roots:
-            if not is_finite(r):
-                raise ValueError(f"root is not finite: {r!r}")
-        for a in mults:
-            if a < 1:
-                raise ValueError(f"multiplicities must be positive, got {a}")
+        mults = _as_multiplicities(multiplicities, len(roots), "roots")
         limit = _collision_limit(roots)
         pair = _first_collision(roots, limit)
         if pair is not None:
@@ -52,8 +43,7 @@ class RootSystem(Record):
                 f"roots {pair[0]} and {pair[1]} are closer than {limit:.3e}; "
                 f"merge them into one root of higher multiplicity"
             )
-        set_field(self, "roots", roots)
-        set_field(self, "multiplicities", mults)
+        set_fields(self, roots, mults)
 
     @property
     def m(self) -> int:
@@ -83,26 +73,18 @@ def _first_collision(values, limit, frozen=None):
     2 * limit of each other are measured (about m pairs where the points
     are spread out).  It is sound: a colliding pair has |Re d| <= |d| and
     abs(d) <= limit, and abs errs by under an ulp, so its real parts lie
-    less than 2 * limit apart.  A hit runs `_scan_pairs`, the scan of all
-    m(m - 1)/2 pairs that names the first pair, unless neither point of
-    the hit equals an unfrozen value: then every pair of indices it can
-    stand for is a pair of frozen indices, which the scan skips, and the
-    screen goes on.
+    less than 2 * limit apart.  A hit returns what `_scan_pairs`, the scan
+    of all m(m - 1)/2 pairs in that order, finds; a hit on a pair of two
+    frozen indices alone finds None there.
     """
     points = sorted(values, key=_REAL)
     reach = 2 * limit
-    unfrozen = None
     for n in range(1, len(points)):
         z = points[n]
         k = n - 1
         while k >= 0 and z.real - points[k].real <= reach:
             if abs(z - points[k]) <= limit:
-                if not frozen:
-                    return _scan_pairs(values, limit, frozen)
-                if unfrozen is None:
-                    unfrozen = {x for x, f in zip(values, frozen) if not f}
-                if z in unfrozen or points[k] in unfrozen:
-                    return _scan_pairs(values, limit, frozen)
+                return _scan_pairs(values, limit, frozen)
             k -= 1
     return None
 
@@ -114,14 +96,26 @@ def _scan_pairs(values, limit, frozen):
                  and abs(x_i - values[j]) <= limit), None)
 
 
+def _as_multiplicities(values, m, what) -> tuple[int, ...]:
+    """``values`` as m ints, for the m roots or approximations that ``what``
+    names; ValueError for another count and for a value that is a bool, not
+    an integer (``2.5``, ``2.0``) or below 1."""
+    mults = tuple(values)
+    if not all([type(a) is int and a >= 1 for a in mults]):  # ints >= 1 stay as they are
+        mults = tuple(map(_as_multiplicity, mults))
+    if len(mults) != m:
+        raise ValueError(f"{m} {what} but {len(mults)} multiplicities")
+    return mults
+
+
 def _as_multiplicity(a) -> int:
-    """``a`` as an int; bools and non-integers (``2.5``, ``2.0``) raise."""
-    try:
-        if not isinstance(a, bool):
-            return operator.index(a)
-    except TypeError:
-        pass
-    raise ValueError(f"multiplicities must be integers, got {a!r}")
+    if not isinstance(a, bool):
+        try:
+            if (k := operator.index(a)) >= 1:
+                return k
+        except TypeError:
+            pass
+    raise ValueError(f"multiplicities must be integers >= 1, got {a!r}")
 
 
 def poly_from_roots(rs: RootSystem) -> MonicPolynomial:

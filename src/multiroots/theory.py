@@ -14,8 +14,9 @@ import operator
 import sys
 from typing import Optional, Sequence
 
-from ._record import Record, set_field
+from ._record import Record, set_fields
 from .errors import DegenerateSystemError, InsufficientDataError
+from .polynomial import _as_float
 from .rootsystem import RootSystem, separation
 
 #: Error pairs below 100 * eps * max(1, |root|) are saturated by rounding
@@ -72,16 +73,8 @@ class TheoremCheckResult(Record):
         guaranteed: bool,
         reason: Optional[str] = None,
     ) -> None:
-        set_field(self, "c", c)
-        set_field(self, "q", q)
-        set_field(self, "d", d)
-        set_field(self, "n", n)
-        set_field(self, "M", M)
-        set_field(self, "N", N)
-        set_field(self, "lhs", lhs)
-        set_field(self, "per_root_margin", per_root_margin)
-        set_field(self, "guaranteed", guaranteed)
-        set_field(self, "reason", reason)
+        set_fields(self, c, q, d, n, M, N, lhs, per_root_margin, guaranteed,
+                   reason)
 
 
 def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
@@ -92,18 +85,22 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
     left-hand side of the per-root inequality, and the margins
     ``alpha_i - lhs``.  ``guaranteed`` holds exactly when q < 1,
     d - 2c > 0, and every margin is positive.  ``c`` and ``q`` must be
-    positive (ValueError otherwise); q >= 1 is "no guarantee".
+    positive real numbers, and q finite (ValueError otherwise: a str, None
+    or a complex is no number, nor is an int beyond binary64's range);
+    q >= 1 is "no guarantee".  Both are computed with, and stored as,
+    floats.
     """
     if rs.m < 2:
         raise DegenerateSystemError(
             "the guarantee needs at least two distinct roots (d is a "
             "minimum over pairs)"
         )
-    if not _holds(lambda: c > 0.0):
+    c, q = _as_float(c), _as_float(q)
+    if not c > 0.0:
         raise ValueError("c must be positive")
-    if not _holds(lambda: math.isfinite(q)):
+    if not math.isfinite(q):
         raise ValueError("q must be finite")
-    if not _holds(lambda: q > 0.0):
+    if not q > 0.0:
         raise ValueError("q must be positive")
 
     d = separation(rs)
@@ -135,15 +132,6 @@ def theorem_check(rs: RootSystem, c: float, q: float) -> TheoremCheckResult:
                               reason is None, reason)
 
 
-def _holds(test) -> bool:
-    """test(), or False where it raises TypeError: a str, None or complex
-    is no number here (none of them compares with a float)."""
-    try:
-        return test()
-    except TypeError:
-        return False
-
-
 def _power_minus_one(base: float, exponent: int) -> float:
     """base**exponent - 1 for base >= 1, or +inf where the power overflows."""
     try:
@@ -156,18 +144,20 @@ def error_bound(c: float, q: float, k: int) -> float:
     """A-priori error bound c * q**(4**k) after k iterations.
 
     Underflows cleanly to 0 for large k, which is the correct limit.
-    ValueError is raised unless c > 0 and 0 < q < 1 (a str or None is no
-    number), and for a ``k`` that is a bool, not an integer (such as 2.5
-    or 2.0) or negative.
+    ValueError is raised unless c > 0 and 0 < q < 1, as for
+    `theorem_check`, and for a ``k`` that is a bool, not an integer (such
+    as 2.5 or 2.0) or negative.  The bound is computed with c and q as
+    floats.
     """
-    if not _holds(lambda: c > 0.0):
+    c, q = _as_float(c), _as_float(q)
+    if not c > 0.0:
         raise ValueError("c must be positive")
-    if not _holds(lambda: 0.0 < q < 1.0):
+    if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if isinstance(k, bool) or not _holds(lambda: operator.index(k) >= 0):
+    if isinstance(k, bool) or not hasattr(type(k), "__index__") or operator.index(k) < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     try:
-        exponent = 4.0 ** int(k)  # a float power raises rather than give inf
+        exponent = 4.0 ** operator.index(k)  # a float power raises rather than give inf
     except OverflowError:
         return 0.0
     return c * math.pow(q, exponent)

@@ -32,7 +32,7 @@ fixed-grid passes fell back: 5
 fixed-grid fall-backs with an exactly zero part: 0 (other fall-backs: 5)
 passes with z' != z: 2
 fixed-grid passes by g: 7: 71, 8: 73, 9: 86, 10: 104, 11: 117, 12: 127, 13: 141
-collision scans: 33 (full scans after the screen: 0)
+collision scans: 33 (screen hits, each running the full scan: 0)
 deflation rows: 660 (rows re-run on the reference path: 0)
 serial table rows reduced: 0
 """,
@@ -51,7 +51,7 @@ fixed-grid passes fell back: 10
 fixed-grid fall-backs with an exactly zero part: 0 (other fall-backs: 10)
 passes with z' != z: 0
 fixed-grid passes by g: 4: 32, 6: 52
-collision scans: 474 (full scans after the screen: 0)
+collision scans: 474 (screen hits, each running the full scan: 0)
 deflation rows: 180 (rows re-run on the reference path: 0)
 serial table rows reduced: 6571
 """,
@@ -144,7 +144,7 @@ def test_ledger_counts_each_path_it_names():
     assert counts["fixed-grid fall-backs with an exactly zero part"] == \
         "1 (other fall-backs: 0)"
     # q_product's check counts too; only the final check finds a pair
-    assert counts["collision scans"] == "2 (full scans after the screen: 1)"
+    assert counts["collision scans"] == "2 (screen hits, each running the full scan: 1)"
     assert counts["deflation rows"] == "1 (rows re-run on the reference path: 1)"
 
 

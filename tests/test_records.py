@@ -20,6 +20,7 @@ from multiroots import (
     solve,
     theorem_check,
 )
+from multiroots._record import set_fields
 from multiroots.cli import DEMO_DOCUMENT, ProblemSpec, parse_problem
 
 POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
@@ -68,6 +69,22 @@ def test_constructor_parameters(cls):
     params = list(inspect.signature(cls).parameters.values())
     assert [p.name for p in params] == SIGNATURES[cls]
     assert all(p.kind is POS for p in params)
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_annotations_list_the_fields_in_parameter_order(cls):
+    # `set_fields` stores its values under the class's annotations, in order
+    assert list(cls.__annotations__) == SIGNATURES[cls]
+
+
+def test_set_fields_takes_one_value_per_field():
+    for values in [((1j,),), ((1j,), (1,), None)]:
+        record = object.__new__(RootSystem)
+        with pytest.raises(ValueError):
+            set_fields(record, *values)
+    record = object.__new__(RootSystem)
+    set_fields(record, (1j,), (1,))
+    assert record == RootSystem((1j,), (1,))
 
 
 def test_construction_by_position_and_keyword():

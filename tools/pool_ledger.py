@@ -27,7 +27,7 @@ wrapped where ``multiroots`` looks them up:
   ``iteration``: every kernel build, each solve's final check, and the
   checks of `q_log_derivative`, `q_product` and `s_value`; `RootSystem`'s
   own are not counted) and, of those, the ones whose screen found a pair
-  within the limit, not both frozen, and ran the full scan
+  within the limit: each such hit runs the full scan
   (``rootsystem._scan_pairs``);
 - deflation rows formed in one loop (``iteration._row_sums``: each active
   row of a total sweep, and the rows of `q_log_derivative` and
@@ -178,7 +178,7 @@ def pool_ledger(workload: str, seed: int, count: int) -> list[str]:
         "fixed-grid passes by g: "
         + (", ".join(f"{g}: {v}" for g, v in sorted(steps.items())) or "none"),
         f"collision scans: {counts['checks']} "
-        f"(full scans after the screen: {counts['scans']})",
+        f"(screen hits, each running the full scan: {counts['scans']})",
         f"deflation rows: {counts['rows']} "
         f"(rows re-run on the reference path: {counts['reference_rows']})",
         f"serial table rows reduced: {counts['table_rows']}",
